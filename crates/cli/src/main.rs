@@ -136,8 +136,6 @@ fn exec(cli: Cli) -> Result<(), String> {
                 seed: cli.seed,
                 metrics: *metrics,
                 gpu: GpuPreset::KeplerK20m,
-                sim_jobs: cli.sim_jobs,
-                sim_window: cli.sim_window,
             };
             // Built once here for the header line (and the friendly
             // unknown-benchmark error before any simulation starts);
@@ -303,8 +301,6 @@ fn exec(cli: Cli) -> Result<(), String> {
                     seed: cli.seed,
                     metrics: MetricsLevel::Off,
                     gpu: GpuPreset::KeplerK20m,
-                    sim_jobs: cli.sim_jobs,
-                    sim_window: cli.sim_window,
                 },
                 policies: grid.iter().map(|&t| PolicySpec::Threshold(t)).collect(),
                 fork_warmup: *fork_warmup,
@@ -461,8 +457,6 @@ fn exec(cli: Cli) -> Result<(), String> {
                 seed: cli.seed,
                 metrics: *metrics,
                 gpu: GpuPreset::KeplerK20m,
-                sim_jobs: cli.sim_jobs,
-                sim_window: cli.sim_window,
             };
             let mut client =
                 Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;

@@ -42,6 +42,11 @@ impl<E> Ord for Entry<E> {
 /// completion observed by the SPAWN controller is processed before a launch
 /// decision scheduled later in the same cycle by a different component.
 ///
+/// The simulator itself schedules on [`TimingWheel`](crate::TimingWheel);
+/// this comparison heap is the simple reference implementation of the
+/// same contract, and the wheel's differential tests check it against
+/// this queue pop for pop.
+///
 /// # Examples
 ///
 /// ```
@@ -142,40 +147,6 @@ impl<E> EventQueue<E> {
     pub fn total_pushed(&self) -> u64 {
         self.pushed
     }
-
-    /// Returns every pending entry in pop order, without observably
-    /// mutating the queue: the `total_pushed` counter and the future pop
-    /// stream are preserved. (Internally the entries are drained and
-    /// re-pushed in pop order; heap/lane residency and sequence numbers
-    /// are not observable through the API.)
-    pub fn snapshot_entries(&mut self) -> Vec<(u64, E)>
-    where
-        E: Clone,
-    {
-        let saved_pushed = self.pushed;
-        let mut out = Vec::with_capacity(self.len());
-        while let Some((t, e)) = self.pop() {
-            out.push((t.as_u64(), e));
-        }
-        for &(t, ref e) in &out {
-            self.push(Cycle(t), e.clone());
-        }
-        self.pushed = saved_pushed;
-        out
-    }
-
-    /// Rebuilds a queue from snapshot `entries` in pop order (as returned
-    /// by [`snapshot_entries`](Self::snapshot_entries)) and the original
-    /// `total_pushed` counter. Pushing in pop order reconstructs the FIFO
-    /// tie-break exactly.
-    pub fn restore_entries(pushed: u64, entries: Vec<(u64, E)>) -> Self {
-        let mut q = EventQueue::new();
-        for (t, e) in entries {
-            q.push(Cycle(t), e);
-        }
-        q.pushed = pushed;
-        q
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -267,30 +238,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle(10), "lane-a")));
         assert_eq!(q.pop(), Some((Cycle(10), "lane-b")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn snapshot_preserves_pop_stream_and_counters() {
-        let mut q = EventQueue::new();
-        q.push(Cycle(10), 0);
-        q.push(Cycle(5), 1);
-        q.push(Cycle(10), 2);
-        q.push(Cycle(5), 3);
-        assert_eq!(q.pop(), Some((Cycle(5), 1)));
-        let snap = q.snapshot_entries();
-        assert_eq!(q.total_pushed(), 4);
-        assert_eq!(snap, vec![(5, 3), (10, 0), (10, 2)]);
-
-        let mut restored = EventQueue::restore_entries(q.total_pushed(), snap);
-        assert_eq!(restored.total_pushed(), 4);
-        loop {
-            assert_eq!(restored.peek_time(), q.peek_time());
-            let (a, b) = (q.pop(), restored.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

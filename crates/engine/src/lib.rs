@@ -8,10 +8,10 @@
 //! The crate provides four building blocks:
 //!
 //! * [`Cycle`] — a newtype for simulated GPU clock cycles,
-//! * [`EventQueue`] / [`TimingWheel`] — two stable (FIFO-on-ties)
-//!   time-ordered event queues with an identical ordering contract: a
-//!   comparison heap and an O(1)-amortized hierarchical timing wheel,
-//!   selectable at run time via [`SchedQueue`],
+//! * [`TimingWheel`] — the simulator's stable (FIFO-on-ties)
+//!   time-ordered event queue, an O(1)-amortized hierarchical timing
+//!   wheel; [`EventQueue`], a comparison heap with the identical ordering
+//!   contract, is kept as its differential-test oracle,
 //! * [`DetRng`] — a seeded random-number generator with the distributions
 //!   needed by the workload generators (uniform, normal, Zipf, power law),
 //! * [`stats`] — windowed averages, histograms, CDFs, time-weighted
@@ -66,7 +66,6 @@ pub mod metrics;
 pub mod par;
 pub mod profile;
 mod rng;
-mod sched;
 pub mod snap;
 pub mod stats;
 pub mod timeseries;
@@ -75,5 +74,4 @@ mod wheel;
 pub use cycle::Cycle;
 pub use event::EventQueue;
 pub use rng::{fnv1a_64, hash_mix, DetRng};
-pub use sched::{QueueBackend, SchedQueue};
-pub use wheel::{EventHorizon, TimingWheel};
+pub use wheel::TimingWheel;

@@ -6,10 +6,8 @@
 //! comparisons, threshold sweeps, figure scripts) run many *independent*
 //! simulations through [`par_map`]; each simulation stays deterministic,
 //! so running N of them on N cores changes nothing about any individual
-//! result. The parallel simulation backend (`--sim-jobs`) instead needs
-//! a *persistent* pool it can feed thousands of tiny per-cycle shard
-//! ticks without spawning threads per window — that is [`Pool`], and
-//! `par_map` is now a thin client of it. Finally, the `dynapar-server`
+//! result. [`par_map`] is a thin client of [`Pool`], a scoped pool whose
+//! workers live for one call frame. Finally, the `dynapar-server`
 //! daemon needs workers that outlive any one call frame and *survive
 //! panicking jobs*: that is [`WorkQueue`], the owned (non-scoped)
 //! sibling of `Pool` built on the same task-queue internals.
@@ -101,20 +99,6 @@ impl<T> Shared<T> {
             .tasks
             .push_back(task);
         self.cv.notify_one();
-    }
-
-    /// Enqueues every task from the iterator under a single lock
-    /// acquisition, then wakes all workers once. Returns the number of
-    /// tasks enqueued.
-    fn push_batch(&self, tasks: impl Iterator<Item = T>) -> usize {
-        let n = {
-            let mut q = self.queue.lock().expect("pool queue poisoned");
-            let before = q.tasks.len();
-            q.tasks.extend(tasks);
-            q.tasks.len() - before
-        };
-        self.cv.notify_all();
-        n
     }
 
     /// Blocks until a task is available (FIFO) or shutdown is flagged
@@ -266,26 +250,6 @@ impl<T: Send, R: Send> Pool<'_, T, R> {
         match &mut self.mode {
             Mode::Serial { f, ready } => ready.push_back(f(task)),
             Mode::Threads { shared, .. } => shared.push(task),
-        }
-    }
-
-    /// Submits a batch of tasks in one queue operation: threaded mode
-    /// takes the task-queue lock once and signals every worker once,
-    /// instead of a lock + wake per task — the hand-off pattern of the
-    /// parallel simulation backend's span dispatch, where all anchored
-    /// shards for a lookahead window ship together. Serial mode runs each
-    /// task inline in order, exactly like repeated [`send`](Pool::send).
-    pub fn send_batch(&mut self, tasks: impl Iterator<Item = T>) {
-        match &mut self.mode {
-            Mode::Serial { f, ready } => {
-                for task in tasks {
-                    self.pending += 1;
-                    ready.push_back(f(task));
-                }
-            }
-            Mode::Threads { shared, .. } => {
-                self.pending += shared.push_batch(tasks);
-            }
         }
     }
 
@@ -586,26 +550,6 @@ mod tests {
                 assert_eq!(pool.pending(), 0);
             }
         });
-    }
-
-    #[test]
-    fn pool_send_batch_matches_individual_sends() {
-        for jobs in [1, 2, 4] {
-            let total: u64 = Pool::scope(jobs, 32, |x: u64| x + 1, |pool| {
-                let mut sum = 0;
-                for wave in 0..50u64 {
-                    pool.send_batch((0..7).map(|i| wave * 100 + i));
-                    assert_eq!(pool.pending(), 7);
-                    sum += (0..7).map(|_| pool.recv()).sum::<u64>();
-                    assert_eq!(pool.pending(), 0);
-                }
-                sum
-            });
-            let want: u64 = (0..50u64)
-                .flat_map(|w| (0..7u64).map(move |i| w * 100 + i + 1))
-                .sum();
-            assert_eq!(total, want, "jobs {jobs}");
-        }
     }
 
     #[test]

@@ -367,81 +367,6 @@ impl<E> Default for TimingWheel<E> {
     }
 }
 
-/// A lazy min-heap of cycle keys answering one question cheaply: *what is
-/// the earliest noted time still ahead of the frontier?*
-///
-/// The parallel simulation backend uses two of these to compute its safe
-/// lookahead horizon (DESIGN.md §12): one notes the scheduled time of
-/// every non-anchor global event (the next cross-SMX effect already in
-/// the queue), the other notes per-warp lower bounds on warp-finish pops
-/// (the earliest cycle a *new* cross-SMX effect chain could start).
-/// Entries are never removed eagerly — stale keys are pruned from the
-/// front as the frontier advances, which keeps `note` O(log n) and the
-/// structure allocation-free at steady state (the heap's buffer is
-/// retained across prunes).
-#[derive(Default)]
-pub struct EventHorizon {
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<u64>>,
-}
-
-impl EventHorizon {
-    /// An empty tracker with a small pre-sized buffer.
-    pub fn new() -> Self {
-        EventHorizon {
-            heap: std::collections::BinaryHeap::with_capacity(64),
-        }
-    }
-
-    /// Notes a key. Duplicates are fine; they prune together.
-    #[inline]
-    pub fn note(&mut self, at: Cycle) {
-        self.heap.push(std::cmp::Reverse(at.as_u64()));
-    }
-
-    /// Drops every key strictly below `t` (keys equal to `t` stay).
-    pub fn prune_below(&mut self, t: Cycle) {
-        while let Some(&std::cmp::Reverse(k)) = self.heap.peek() {
-            if k >= t.as_u64() {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// Drops every key at or below `t`. Only sound when the caller knows
-    /// all noted times ≤ `t` refer to already-consumed events (for the
-    /// event tracker: the global queue holds nothing at or before `t`).
-    pub fn prune_through(&mut self, t: Cycle) {
-        while let Some(&std::cmp::Reverse(k)) = self.heap.peek() {
-            if k > t.as_u64() {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// The smallest noted key, if any survive pruning.
-    #[inline]
-    pub fn min(&self) -> Option<Cycle> {
-        self.heap.peek().map(|&std::cmp::Reverse(k)| Cycle(k))
-    }
-
-    /// Forgets every key (used when re-priming after a restore).
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    /// Number of live (un-pruned) keys.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no keys survive pruning.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 impl<E> std::fmt::Debug for TimingWheel<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimingWheel")
@@ -643,36 +568,5 @@ mod tests {
     #[should_panic(expected = "before frontier")]
     fn restore_rejects_entries_before_frontier() {
         TimingWheel::restore_entries(10, 1, vec![(9, ())]);
-    }
-
-    #[test]
-    fn horizon_tracks_minimum_across_prunes() {
-        let mut h = EventHorizon::new();
-        assert_eq!(h.min(), None);
-        h.note(Cycle(30));
-        h.note(Cycle(10));
-        h.note(Cycle(10));
-        h.note(Cycle(20));
-        assert_eq!(h.min(), Some(Cycle(10)));
-        h.prune_below(Cycle(10));
-        assert_eq!(h.min(), Some(Cycle(10)), "equal keys survive prune_below");
-        h.prune_through(Cycle(10));
-        assert_eq!(h.min(), Some(Cycle(20)), "both duplicates pruned together");
-        h.prune_below(Cycle(25));
-        assert_eq!(h.min(), Some(Cycle(30)));
-        h.prune_through(Cycle(30));
-        assert_eq!(h.min(), None);
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn horizon_clear_forgets_everything() {
-        let mut h = EventHorizon::new();
-        h.note(Cycle(5));
-        assert_eq!(h.len(), 1);
-        h.clear();
-        assert_eq!(h.min(), None);
-        h.note(Cycle(7));
-        assert_eq!(h.min(), Some(Cycle(7)));
     }
 }

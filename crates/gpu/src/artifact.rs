@@ -17,7 +17,6 @@ use dynapar_engine::profile::ProfileReport;
 
 use crate::config::GpuConfig;
 use crate::controller::LaunchController;
-use crate::sim::WinStats;
 use crate::stats::SimReport;
 use crate::trace::Trace;
 
@@ -50,11 +49,6 @@ pub struct RunOutcome {
     /// [`SimulationBuilder::build_resumed`](crate::SimulationBuilder::build_resumed)
     /// or write them to disk as-is.
     pub snapshot: Option<Vec<u8>>,
-    /// Lookahead-window statistics from the parallel backend (empty for
-    /// sequential runs). Like `profile`, deliberately not part of
-    /// [`RunArtifact`]: artifact bytes stay backend- and
-    /// window-invariant, so `cmp` across backends keeps working.
-    pub win: WinStats,
 }
 
 impl fmt::Debug for RunOutcome {
@@ -66,7 +60,6 @@ impl fmt::Debug for RunOutcome {
             .field("artifact", &self.artifact.is_some())
             .field("profile", &self.profile.is_some())
             .field("snapshot", &self.snapshot.as_ref().map(Vec::len))
-            .field("win", &self.win)
             .finish()
     }
 }

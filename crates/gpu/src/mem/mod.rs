@@ -130,11 +130,9 @@ impl MshrSet {
 /// One SMX's private slice of the memory hierarchy: its L1 data cache
 /// and MSHR set.
 ///
-/// Split out of [`MemSystem`] so the parallel backend can probe L1 tags
-/// shard-locally (each shard owns its `SmxL1`) while the shared
-/// L2/DRAM/stats state stays behind the in-order merge phase. The
-/// sequential backend uses the exact same two-step path
-/// ([`SmxL1::probe`] then [`MemSystem::service_read`]), so the split is
+/// Owned by the SMX's shard rather than by [`MemSystem`], which keeps
+/// only the shared L2/DRAM/stats state. A warp read takes two steps
+/// ([`SmxL1::probe`] then [`MemSystem::service_read`]); the split is
 /// invisible to simulated timing and counters.
 #[derive(Debug)]
 pub struct SmxL1 {
@@ -155,9 +153,9 @@ impl SmxL1 {
     /// input order, filling on miss; returns the hit count and appends
     /// the missing lines to `misses` (also in input order).
     ///
-    /// Pure tag work: no statistics, no MSHRs, no lower levels — safe to
-    /// run concurrently across SMXs. Timing and counting happen when the
-    /// result is handed to [`MemSystem::service_read`].
+    /// Pure tag work: no statistics, no MSHRs, no lower levels. Timing
+    /// and counting happen when the result is handed to
+    /// [`MemSystem::service_read`].
     pub fn probe(&mut self, lines: &[u64], misses: &mut Vec<u64>) -> u64 {
         let mut hits = 0u64;
         for &line in lines {
@@ -304,9 +302,7 @@ impl MemSystem {
     /// through MSHR admission, the crossbar, L2, and DRAM. `total` is
     /// the transaction's full line count (`hits + misses.len()`).
     ///
-    /// This is the only place read statistics are updated, so a probe
-    /// deferred to a later merge phase (the parallel backend) books the
-    /// same counts as the inline sequential path.
+    /// This is the only place read statistics are updated.
     pub(crate) fn service_read(
         &mut self,
         now: Cycle,
@@ -550,9 +546,8 @@ mod tests {
 
     #[test]
     fn deferred_probe_matches_inline_warp_read() {
-        // The parallel backend probes L1 shard-side and services the
-        // result later; the two-step path must book the same latency
-        // and counters as the one-call path.
+        // The explicit two-step path must book the same latency and
+        // counters as the one-call path.
         let lines = [7u64, 8, 9, 7 + 256];
         let mut m1 = MemSystem::new(&small_cfg());
         let mut a1 = SmxL1::new(&small_cfg());

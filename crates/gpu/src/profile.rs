@@ -33,12 +33,6 @@ pub(crate) const CACHE: usize = 9;
 pub(crate) const DRAM: usize = 10;
 /// Periodic timeline sampling.
 pub(crate) const SAMPLE: usize = 11;
-/// Parallel-backend window hand-off: horizon computation, shard
-/// swap-out/ship to the worker pool, and the blocking collect.
-pub(crate) const WIN: usize = 12;
-/// Parallel-backend merge: replaying one recorded shard tick against the
-/// shared state (nests `round`/`cache`/`dram` like the sequential path).
-pub(crate) const MERGE: usize = 13;
 
 /// Phase name table, indexed by the constants above.
 pub(crate) const NAMES: &[&str] = &[
@@ -54,8 +48,6 @@ pub(crate) const NAMES: &[&str] = &[
     "cache",
     "dram",
     "sample",
-    "win",
-    "merge",
 ];
 
 #[cfg(test)]
@@ -76,8 +68,6 @@ mod tests {
         assert_eq!(NAMES[CACHE], "cache");
         assert_eq!(NAMES[DRAM], "dram");
         assert_eq!(NAMES[SAMPLE], "sample");
-        assert_eq!(NAMES[WIN], "win");
-        assert_eq!(NAMES[MERGE], "merge");
-        assert_eq!(NAMES.len(), 14);
+        assert_eq!(NAMES.len(), 12);
     }
 }

@@ -1,182 +1,30 @@
-//! Per-SMX simulation shards for the deterministic parallel backend.
+//! Per-SMX simulation state.
 //!
-//! A [`SmxShard`] bundles one [`Smx`] with everything its tick mutates
-//! privately: the L1 cache (tag state only — L2/DRAM stay global), the
-//! coalescing scratch buffers, and the recorded effect arenas. The
-//! shard is `Send`, so [`SimBackend::Par`](crate::SimBackend::Par) can
-//! move it onto a worker pool and run several of its cycles at once.
-//!
-//! The protocol is a two-phase conservative *lookahead window*
-//! (DESIGN.md §12):
-//!
-//! 1. **Local phase** (worker thread, [`SmxShard::local_tick_span`]):
-//!    starting from an anchor cycle, run every anchor tick of this SMX
-//!    up to a caller-proven safe horizon `H`. Each tick drains the local
-//!    wakeup wheel, runs the issue loop, and appends one [`TickRec`] to
-//!    the `ticks` arena; per-round effects that touch global state are
-//!    recorded as [`TickOp`]s. Rounds whose warp tail is fully
-//!    predictable from shard state (everything except warp starts,
-//!    finishes, and final rounds) *apply* the tail locally — including
-//!    the next wheel wakeup and the anchor dedupe — so the span can keep
-//!    ticking past them; a miss round's unknown completion time is stood
-//!    in for by [`SENTINEL`] until the merge computes the real one.
-//! 2. **Merge phase** (main thread, `Simulation::merge_recorded_tick`):
-//!    each recorded tick is replayed when its global anchor event pops,
-//!    i.e. at the *exact* queue position the sequential backend would
-//!    have handled it, and its recorded ops/pushes are applied in the
-//!    order the sequential handler would have produced them.
-//!
-//! Because every global mutation is replayed in global pop order and
-//! each record carries everything the merge needs, the merged run is
-//! byte-identical to the sequential one regardless of worker
-//! interleaving, worker count, or window width.
+//! A [`SmxShard`] bundles one [`Smx`] with everything its anchor tick
+//! touches privately: the L1 cache (tag state only — L2/DRAM stay
+//! global in `MemSystem`), the coalescing scratch buffers, and the
+//! local-event counter.
 
 use dynapar_engine::snap::{ByteReader, ByteWriter, SnapError};
-use dynapar_engine::Cycle;
 
 use crate::config::GpuConfig;
 use crate::ids::SmxId;
-use crate::kernel::SpecTable;
-use crate::mem::{coalesce_lines_parts, SmxL1};
+use crate::mem::SmxL1;
 use crate::smx::Smx;
 
-/// Placeholder completion time for a miss round's in-flight memory
-/// entry: the real time needs the global L2/DRAM state, so the local
-/// tail pushes this and the merge overwrites it with the `service_read`
-/// result. Any tick whose tail would *consume* a sentinel (final-round
-/// drain or MLP-window overflow) defers to the merge instead, so a
-/// sentinel is never read as a time.
-pub(crate) const SENTINEL: Cycle = Cycle(u64::MAX);
-
-/// How a recorded round's warp tail was handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RoundTail {
-    /// The merge runs the full sequential `finish_round`: final rounds
-    /// (the drain-all barrier must see real miss times) and rounds whose
-    /// MLP-window overflow would pop a still-deferred miss entry.
-    Deferred,
-    /// The local tick already ran the warp tail (`rounds_done`, the MLP
-    /// window, the local wheel push, the anchor dedupe); the merge only
-    /// books stats/items, services misses (replacing the sentinel), and
-    /// materializes the recorded global pushes.
-    Applied {
-        /// Lower bound on the warp's finish-wakeup pop: the scheduled
-        /// wakeup plus one cycle per remaining round. Feeds the main
-        /// thread's guard heap that bounds future horizons.
-        guard_key: Cycle,
-        /// The global `SmxWork` event this tail's `try_anchor` won, to be
-        /// pushed by the merge at the equivalent sequential position.
-        anchor_push: Option<Cycle>,
-        /// The tail pushed [`SENTINEL`] into `outstanding_mem`; the merge
-        /// must overwrite the oldest sentinel with the real miss time.
-        sentinel: bool,
-    },
-}
-
-/// One deferred round: everything `merge_round` needs to replay the
-/// global half of `run_round` (L2/DRAM service, stats, warp bookkeeping)
-/// without re-deriving addresses. The coalesced miss lines live in the
-/// shard's `miss_lines` arena; `miss_off`/`miss_len` index into it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RoundOut {
-    /// Warp slot that issued the round.
-    pub slot: u32,
-    /// Active-lane count this round (items accounting).
-    pub active: u32,
-    /// Whether the warp executes child work (items_child vs items_inline).
-    pub is_child: bool,
-    /// The class's per-item compute cost.
-    pub compute: u64,
-    /// Line index of the round's store, if the class writes.
-    pub write_line: Option<u64>,
-    /// Total coalesced lines the L1 was probed with.
-    pub lines: u32,
-    /// How many of them hit in the L1.
-    pub hits: u64,
-    /// Start of this round's miss lines in the shard's `miss_lines`.
-    pub miss_off: u32,
-    /// Number of miss lines.
-    pub miss_len: u32,
-    /// Whether the warp tail ran locally or is left to the merge.
-    pub tail: RoundTail,
-}
-
-/// One deferred effect of a shard-local tick, replayed by the merge
-/// phase in the order the sequential backend would have produced it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TickOp {
-    /// A drained wakeup found the warp past its last round: finish it
-    /// (and possibly its CTA / kernel cascade) on the main thread.
-    Finish { slot: u32 },
-    /// A not-yet-started warp was selected: run the full `start_warp`
-    /// (controller decisions, child-kernel creation) on the main thread.
-    Start { slot: u32 },
-    /// A started warp issued a round; the local half already ran.
-    Round(RoundOut),
-}
-
-/// One recorded anchor tick of a lookahead span. The op/miss/guard-key
-/// arena ranges start where the previous record's ranges end.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TickRec {
-    /// The anchor cycle this tick executed.
-    pub cycle: Cycle,
-    /// End of this tick's ops in the shard's `ops` arena. (Miss lines
-    /// need no per-tick end: each `RoundOut` carries its own
-    /// `miss_off`/`miss_len` slice into the `miss_lines` arena.)
-    pub ops_end: u32,
-    /// End of this tick's guard keys in the `guard_keys` arena.
-    pub keys_end: u32,
-    /// Local wakeups drained (the merge folds them into `events_local`).
-    pub drained: u32,
-    /// Max local-wheel backlog after this tick's wakeup pushes.
-    pub backlog_max: u64,
-    /// The tick drained nothing and issued nothing.
-    pub idle: bool,
-    /// The anchor tail ran locally (non-stop tick): the merge
-    /// materializes `anchor_after`/`anchor_relay` instead of re-running
-    /// the re-anchor against live state.
-    pub tail_applied: bool,
-    /// Locally decided "anchor fired with nothing at all" (idle and no
-    /// pending local wakeup); the merge bumps `dead_wakeups`.
-    pub dead_wakeup: bool,
-    /// The tail's `try_anchor(now + 1)` won (ready warps pull the SMX
-    /// back next cycle): the merge owes this global event.
-    pub anchor_after: Option<Cycle>,
-    /// The tail's relay `try_anchor(next local wakeup)` won: the merge
-    /// owes this global event.
-    pub anchor_relay: Option<Cycle>,
-}
-
-/// One SMX plus the per-SMX mutable state the parallel backend ships to
-/// worker threads. Derefs to [`Smx`], so all sequential-path accessors
-/// (`warp`, `select_ready`, `local`, `anchors`, …) keep working
-/// unchanged on `Vec<SmxShard>`.
+/// One SMX plus its private L1 and round buffers. Derefs to [`Smx`], so
+/// the SMX accessors (`warp`, `select_ready`, `local`, `anchors`, …)
+/// work directly on `Vec<SmxShard>`.
 pub(crate) struct SmxShard {
     pub smx: Smx,
-    /// This SMX's private L1 tag + MSHR state (split out of the global
-    /// `MemSystem` so shard ticks can probe tags without touching it).
+    /// This SMX's private L1 tag + MSHR state.
     pub l1: SmxL1,
     /// Coalescing buffer: sequential addresses, then the merged lines.
     pub addr_buf: Vec<u64>,
     /// Merge target for the two-block coalescer; swaps with `addr_buf`.
     pub scratch_buf: Vec<u64>,
-    /// Outbound effects of the current span, in sequential-replay order.
-    pub ops: Vec<TickOp>,
-    /// Arena of coalesced L1 miss lines referenced by `RoundOut`s.
-    pub miss_lines: Vec<u64>,
-    /// Recorded ticks of the current span, in cycle order.
-    pub ticks: Vec<TickRec>,
-    /// Merge cursor into `ticks`: the next record to replay.
-    pub ticks_next: usize,
-    /// Guard keys recorded by span tails for warps that stayed ready
-    /// past the issue loop (see `TickRec::keys_end`).
-    pub guard_keys: Vec<Cycle>,
-    /// Local wakeups drained by this SMX (summed into the report). Span
-    /// drains are recorded per tick and folded in at merge time.
+    /// Local wakeups drained by this SMX (summed into the report).
     pub events_local: u64,
-    /// Scratch: max wheel backlog within the current span tick.
-    tick_backlog: u64,
 }
 
 impl SmxShard {
@@ -186,20 +34,13 @@ impl SmxShard {
             l1: SmxL1::new(&cfg.mem),
             addr_buf: Vec::with_capacity(128),
             scratch_buf: Vec::with_capacity(128),
-            ops: Vec::new(),
-            miss_lines: Vec::new(),
-            ticks: Vec::new(),
-            ticks_next: 0,
-            guard_keys: Vec::new(),
             events_local: 0,
-            tick_backlog: 0,
         }
     }
 
     /// Serializes the shard's persistent state: the SMX, its L1/MSHRs,
-    /// and the local-event counter. The span-scratch arenas (`addr_buf`,
-    /// `scratch_buf`, `ops`, `miss_lines`, `ticks`, `guard_keys`) are
-    /// empty between events and are not written.
+    /// and the local-event counter. The coalescing buffers are empty
+    /// between events and are not written.
     pub fn encode_state(&mut self, w: &mut ByteWriter) {
         self.smx.encode_state(w);
         self.l1.encode_state(w);
@@ -217,307 +58,6 @@ impl SmxShard {
         self.l1 = SmxL1::decode_state(r)?;
         self.events_local = r.get_u64()?;
         Ok(())
-    }
-
-    /// True when the next recorded (not yet merged) tick of the current
-    /// span fires at `now` — the main loop then replays it instead of
-    /// dispatching a new span.
-    #[inline]
-    pub fn has_recorded(&self, now: Cycle) -> bool {
-        self.ticks
-            .get(self.ticks_next)
-            .is_some_and(|r| r.cycle == now)
-    }
-
-    /// True when every recorded tick of the span has been merged (also
-    /// true between spans).
-    #[inline]
-    pub fn merge_exhausted(&self) -> bool {
-        self.ticks_next >= self.ticks.len()
-    }
-
-    /// The local phase of a lookahead span: starting at the `start`
-    /// anchor, run this SMX's anchor ticks in cycle order until a tick
-    /// needs the main thread (warp start/finish, unpredictable round
-    /// tail) or the next anchor lies past `horizon`. The caller proves
-    /// that no cross-shard effect can reach this SMX within
-    /// `[start, horizon]` (DESIGN.md §12); under that guarantee the
-    /// local wheel, ready set, and anchor registry evolve exactly as the
-    /// sequential backend would evolve them.
-    ///
-    /// Runs on a worker thread; must only touch `self`, the (frozen)
-    /// config, and the (frozen) spec table.
-    pub fn local_tick_span(
-        &mut self,
-        start: Cycle,
-        horizon: Cycle,
-        cfg: &GpuConfig,
-        specs: &SpecTable,
-    ) {
-        debug_assert!(self.ticks.is_empty() && self.ticks_next == 0, "unmerged span");
-        debug_assert!(self.ops.is_empty() && self.miss_lines.is_empty());
-        debug_assert!(self.guard_keys.is_empty());
-        debug_assert!(start <= horizon);
-        let mut now = start;
-        loop {
-            if self.span_tick(now, cfg, specs) {
-                break;
-            }
-            // The tail ran locally, so the anchor registry already knows
-            // this SMX's next interesting cycle; keep ticking while it
-            // stays inside the proven-safe window.
-            match self.smx.anchors.iter().copied().min() {
-                Some(next) if next <= horizon => {
-                    debug_assert!(next > now, "anchor registry went backwards");
-                    now = next;
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// One anchor tick of a span: the exact drain + issue structure of
-    /// `Simulation::on_smx_work`, recording effects instead of applying
-    /// the global ones. Returns `true` when this tick must be the span's
-    /// last (its merge needs live global state for a warp start, warp
-    /// finish, or deferred round tail).
-    fn span_tick(&mut self, now: Cycle, cfg: &GpuConfig, specs: &SpecTable) -> bool {
-        let pos = self
-            .smx
-            .anchors
-            .iter()
-            .position(|&a| a == now)
-            .expect("anchor fired without registration");
-        self.smx.anchors.swap_remove(pos);
-        self.tick_backlog = 0;
-        let mut idle = true;
-        let mut drained = 0u32;
-        let mut stop = false;
-        while self.smx.local.peek_time() == Some(now) {
-            let (_, slot) = self.smx.local.pop().expect("peeked wakeup");
-            drained += 1;
-            idle = false;
-            let w = self.smx.warp(slot);
-            if w.started && w.rounds_done >= w.rounds_total {
-                // Deferred `finish_warp`: the warp stays resident until
-                // the merge. It is not ready, so the issue loop below
-                // ignores it exactly like the sequential path (where GTO
-                // falls through a non-ready `last_issued` the same way).
-                self.ops.push(TickOp::Finish { slot });
-                stop = true;
-            } else {
-                self.smx.mark_ready(slot);
-            }
-        }
-        if self.smx.has_ready() {
-            idle = false;
-            for _ in 0..cfg.issue_width {
-                let Some(slot) = self.smx.select_ready() else {
-                    break;
-                };
-                if self.smx.warp(slot).started {
-                    let mut round = self.local_round(slot, cfg, specs);
-                    // Once the tick hit its stop trigger, later rounds
-                    // must defer their tails too: applying one would
-                    // insert wheel/anchor entries *ahead* of the deferred
-                    // op's merge-time replay, and the replayed
-                    // `ensure_anchor` would lose pushes the sequential
-                    // order wins (the span stops at this tick regardless,
-                    // so local application buys nothing).
-                    if stop || !self.apply_round_tail(now, &mut round, cfg) {
-                        stop = true;
-                    }
-                    self.ops.push(TickOp::Round(round));
-                } else {
-                    self.ops.push(TickOp::Start { slot });
-                    stop = true;
-                }
-            }
-        }
-        let need_anchor = self.smx.has_ready();
-        let mut anchor_after = None;
-        let mut anchor_relay = None;
-        let mut dead = false;
-        if !stop {
-            // The sequential tail of `on_smx_work`, applied locally in
-            // the same order (the dedupe outcome depends on it): ready
-            // warps pull the SMX back at `now + 1`, then the next local
-            // wakeup is relayed. Won pushes are recorded for the merge.
-            if need_anchor && self.smx.try_anchor(now + 1) {
-                anchor_after = Some(now + 1);
-            }
-            if let Some(next) = self.smx.local.peek_time() {
-                debug_assert!(next > now, "undrained wakeup at the anchor cycle");
-                if self.smx.try_anchor(next) {
-                    anchor_relay = Some(next);
-                }
-            } else if idle {
-                dead = true;
-            }
-            if need_anchor {
-                // Warps that stayed ready past the issue loop re-arm
-                // every cycle; each gets a fresh finish-pop lower bound
-                // (earliest next issue + one cycle per remaining round)
-                // so the guard heap stays sound for the next horizon.
-                let mut keys = std::mem::take(&mut self.guard_keys);
-                let smx = &self.smx;
-                smx.for_each_ready(|slot| {
-                    let w = smx.warp(slot);
-                    let left = w.rounds_total.saturating_sub(w.rounds_done) as u64;
-                    keys.push(now + 1 + left);
-                });
-                self.guard_keys = keys;
-            }
-        }
-        self.ticks.push(TickRec {
-            cycle: now,
-            ops_end: self.ops.len() as u32,
-            keys_end: self.guard_keys.len() as u32,
-            drained,
-            backlog_max: self.tick_backlog,
-            idle,
-            tail_applied: !stop,
-            dead_wakeup: dead,
-            anchor_after,
-            anchor_relay,
-        });
-        stop
-    }
-
-    /// Runs the warp tail of `finish_round` locally when every input is
-    /// known inside the shard, mirroring the sequential mutations
-    /// byte-for-byte. Returns `false` — leaving `round.tail` as
-    /// [`RoundTail::Deferred`] and stopping the span — when the tail
-    /// needs the merge: final rounds (the drain-all barrier must see
-    /// real miss completion times) and rounds whose MLP-window overflow
-    /// would consume a still-deferred [`SENTINEL`] entry.
-    fn apply_round_tail(&mut self, now: Cycle, round: &mut RoundOut, cfg: &GpuConfig) -> bool {
-        let mlp = cfg.mlp_depth as usize;
-        let hit_lat = cfg.mem.l1_hit_latency;
-        let miss_deferred = round.miss_len > 0;
-        // A sentinel stands in for the miss completion time only if the
-        // real one is strictly in the future (else the sequential tail
-        // would not have pushed at all). The L1+crossbar floor under
-        // every miss guarantees that unless a config zeroes both.
-        if miss_deferred && hit_lat + cfg.mem.xbar_latency == 0 {
-            return false;
-        }
-        let push = if miss_deferred {
-            Some(SENTINEL)
-        } else if round.lines > 0 && hit_lat > 0 {
-            Some(now + hit_lat)
-        } else {
-            None
-        };
-        {
-            let w = self.smx.warp(round.slot);
-            if w.rounds_done + 1 >= w.rounds_total {
-                return false;
-            }
-            let len_after = w.outstanding_mem.len() + usize::from(push.is_some());
-            let pops = len_after.saturating_sub(mlp.saturating_sub(1));
-            for i in 0..pops.min(w.outstanding_mem.len()) {
-                if w.outstanding_mem[i] == SENTINEL {
-                    return false;
-                }
-            }
-            if pops > w.outstanding_mem.len() && push == Some(SENTINEL) {
-                return false;
-            }
-        }
-        // Commit: the exact warp tail of `finish_round`.
-        let w = self.smx.warp_mut(round.slot);
-        w.rounds_done += 1;
-        let mut done = now + round.compute + 1;
-        if let Some(v) = push {
-            w.outstanding_mem.push_back(v);
-        }
-        while w.outstanding_mem.len() > mlp.saturating_sub(1) {
-            let oldest = w.outstanding_mem.pop_front().expect("non-empty");
-            debug_assert!(oldest != SENTINEL, "sentinel escaped the overflow precheck");
-            done = done.max(oldest);
-        }
-        let left = (w.rounds_total - w.rounds_done) as u64;
-        // `schedule_wakeup`, shard-locally: the wheel push and the anchor
-        // dedupe run here; the guard key and any won global event are
-        // recorded for the merge to materialize in replay order.
-        self.smx.local.push(done, round.slot);
-        self.tick_backlog = self.tick_backlog.max(self.smx.local.len() as u64);
-        let anchor_push = if self.smx.try_anchor(done) { Some(done) } else { None };
-        round.tail = RoundTail::Applied {
-            guard_key: done + left,
-            anchor_push,
-            sentinel: push == Some(SENTINEL),
-        };
-        true
-    }
-
-    /// The shard-local half of `Simulation::run_round`: address
-    /// generation, coalescing, and the L1 tag probe. Byte-for-byte the
-    /// same address math as the sequential path; the warp's
-    /// `rounds_done` is deliberately *not* incremented here (the round
-    /// tail does it — locally when applied, at the merge when deferred),
-    /// which is safe because a warp issues at most once per tick.
-    fn local_round(&mut self, slot: u32, cfg: &GpuConfig, specs: &SpecTable) -> RoundOut {
-        let mut addrs = std::mem::take(&mut self.addr_buf);
-        let mut scratch = std::mem::take(&mut self.scratch_buf);
-        addrs.clear();
-        scratch.clear();
-        let (compute, active, write_line, is_child, seq_len) = {
-            let (w, lanes) = self.smx.warp_and_lanes(slot);
-            let r = w.rounds_done;
-            let class = specs.class(w.class);
-            let mut active = 0u32;
-            let mut first_seed = None;
-            for lane in lanes {
-                if lane.items > r {
-                    active += 1;
-                    if first_seed.is_none() {
-                        first_seed = Some(lane.rand_seed);
-                    }
-                    if class.seq_bytes_per_item > 0 {
-                        addrs.push(lane.seq_base + r as u64 * class.seq_bytes_per_item as u64);
-                    }
-                    for k in 0..class.rand_refs_per_item {
-                        scratch.push(class.rand_addr(lane.rand_seed, r, k));
-                    }
-                }
-            }
-            let seq_len = addrs.len();
-            addrs.extend_from_slice(&scratch);
-            let write_line = if class.writes_per_item > 0 && class.rand_region_bytes > 0 {
-                first_seed.map(|s| {
-                    class.rand_addr(s ^ 0x5757_5757, r, 0)
-                        >> cfg.mem.line_bytes.trailing_zeros()
-                })
-            } else {
-                None
-            };
-            (class.compute_per_item as u64, active, write_line, w.is_child_work, seq_len)
-        };
-        coalesce_lines_parts(&mut addrs, seq_len, &mut scratch, cfg.mem.line_bytes);
-        let miss_off = self.miss_lines.len();
-        let hits = if addrs.is_empty() {
-            0
-        } else {
-            self.l1.probe(&addrs, &mut self.miss_lines)
-        };
-        let out = RoundOut {
-            slot,
-            active,
-            is_child,
-            compute,
-            write_line,
-            lines: addrs.len() as u32,
-            hits,
-            miss_off: miss_off as u32,
-            miss_len: (self.miss_lines.len() - miss_off) as u32,
-            tail: RoundTail::Deferred,
-        };
-        addrs.clear();
-        self.addr_buf = addrs;
-        self.scratch_buf = scratch;
-        out
     }
 }
 

@@ -23,9 +23,7 @@ pub(crate) struct WarpRt {
     /// Owning kernel.
     pub kernel: KernelId,
     /// The kernel's interned work class, mirrored here at install time so
-    /// the round hot path (and the parallel backend's shard-local tick,
-    /// which must not read the growing kernel table) resolves the class
-    /// without touching `kernel`.
+    /// the round hot path resolves the class without touching `kernel`.
     pub class: ClassId,
     /// Work performed by dynamically-launched code?
     pub is_child_work: bool,
@@ -285,26 +283,10 @@ impl Smx {
         self.ready_count > 0
     }
 
-    /// Calls `f` for every slot currently in the ready set, in slot
-    /// order. Read-only: issue priority is `select_ready`'s business —
-    /// this exists so the parallel backend can bound the finish time of
-    /// warps that are ready but not yet issued (DESIGN.md §12).
-    pub fn for_each_ready(&self, mut f: impl FnMut(u32)) {
-        for (wi, &word) in self.ready_mask.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                f(wi as u32 * 64 + bits.trailing_zeros());
-                bits &= bits - 1;
-            }
-        }
-    }
-
     /// The registration half of the global anchor dedupe: records `at`
     /// iff no pending anchor covers it (every pending anchor fires at a
-    /// later cycle) and returns whether it did — the caller then owes the
-    /// matching global `SmxWork` event. Shared between the sequential
-    /// `ensure_anchor` and the span ticks of the parallel backend, which
-    /// must dedupe locally and let the merge materialize the event.
+    /// later cycle) and returns whether it did — the caller
+    /// (`ensure_anchor`) then owes the matching global `SmxWork` event.
     pub fn try_anchor(&mut self, at: Cycle) -> bool {
         if self.anchors.iter().all(|&a| a > at) {
             self.anchors.push(at);

@@ -15,9 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dynapar_gpu::{
-    GpuConfig, KernelDesc, SimBackend, SimWindow, Simulation, ThreadSource, ThreadWork, WorkClass,
-};
+use dynapar_gpu::{GpuConfig, KernelDesc, Simulation, ThreadSource, ThreadWork, WorkClass};
 
 struct CountingAlloc;
 
@@ -43,20 +41,6 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Runs one flat kernel with `items_per_thread` rounds per thread and
 /// returns `(allocations during run, events processed)`.
 fn run_and_count(items_per_thread: u32) -> (u64, u64) {
-    run_and_count_on(items_per_thread, SimBackend::Seq)
-}
-
-/// Same probe on an explicit simulation backend.
-fn run_and_count_on(items_per_thread: u32, backend: SimBackend) -> (u64, u64) {
-    run_and_count_windowed(items_per_thread, backend, SimWindow::default())
-}
-
-/// Same probe at an explicit lookahead-window policy.
-fn run_and_count_windowed(
-    items_per_thread: u32,
-    backend: SimBackend,
-    window: SimWindow,
-) -> (u64, u64) {
     let threads = 2048u64;
     let class = WorkClass {
         label: "probe",
@@ -68,10 +52,7 @@ fn run_and_count_windowed(
         rand_region_bytes: 1 << 20,
         writes_per_item: 0,
     };
-    let mut sim = Simulation::builder(GpuConfig::kepler_k20m())
-        .backend(backend)
-        .sim_window(window)
-        .build();
+    let mut sim = Simulation::builder(GpuConfig::kepler_k20m()).build();
     sim.launch_host(KernelDesc {
         name: "probe".into(),
         cta_threads: 128,
@@ -121,57 +102,5 @@ fn round_count_does_not_drive_allocations() {
         "allocations scale with rounds: {short_allocs} allocs at {short_events} events, \
          {long_allocs} allocs at {long_events} events (+{growth}) — a per-round path is \
          allocating"
-    );
-}
-
-#[test]
-fn parallel_backend_rounds_do_not_drive_allocations() {
-    // The conservative-window backend moves shards into the pool by
-    // `mem::replace` with pre-built spares and replays effects from
-    // reused per-shard op/miss arenas, so its per-window cost must also
-    // be allocation-free once warm. Pool spawn/teardown (threads,
-    // channels) happens once per run and is identical for both probe
-    // lengths, so the same additive-slack assertion applies.
-    let backend = SimBackend::Par(2);
-    let _ = run_and_count_on(8, backend);
-    let (short_allocs, short_events) = run_and_count_on(256, backend);
-    let (long_allocs, long_events) = run_and_count_on(1024, backend);
-    assert!(
-        long_events > short_events * 3,
-        "probe failed to scale the event count ({short_events} -> {long_events})"
-    );
-    let growth = long_allocs.saturating_sub(short_allocs);
-    assert!(
-        growth < 1024,
-        "parallel-backend allocations scale with rounds: {short_allocs} allocs at \
-         {short_events} events, {long_allocs} allocs at {long_events} events (+{growth}) — \
-         a per-window path is allocating"
-    );
-}
-
-#[test]
-fn multi_cycle_span_arenas_do_not_drive_allocations() {
-    // Wide fixed windows make every shipped shard record many ticks per
-    // span into its tick/op/miss/guard-key arenas before the merge
-    // replays them. Those arenas reset in place after each replay, so
-    // once their high-water capacity is reached the per-span cost must
-    // be allocation-free — longer runs (≈4× the rounds, and therefore
-    // ≈4× the recorded span ticks) may not allocate more than the same
-    // additive slack.
-    let backend = SimBackend::Par(2);
-    let window = SimWindow::Fixed(64);
-    let _ = run_and_count_windowed(8, backend, window);
-    let (short_allocs, short_events) = run_and_count_windowed(256, backend, window);
-    let (long_allocs, long_events) = run_and_count_windowed(1024, backend, window);
-    assert!(
-        long_events > short_events * 3,
-        "probe failed to scale the event count ({short_events} -> {long_events})"
-    );
-    let growth = long_allocs.saturating_sub(short_allocs);
-    assert!(
-        growth < 1024,
-        "span-arena allocations scale with recorded ticks: {short_allocs} allocs at \
-         {short_events} events, {long_allocs} allocs at {long_events} events (+{growth}) — \
-         a per-span path is allocating"
     );
 }

@@ -52,8 +52,6 @@
 //!     seed: 1,
 //!     metrics: MetricsLevel::Summary,
 //!     gpu: GpuPreset::KeplerK20m,
-//!     sim_jobs: None,
-//!     sim_window: Default::default(),
 //! };
 //! let res = client.run(&job).unwrap();
 //! assert!(!res.cached, "first run simulates");

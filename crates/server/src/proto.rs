@@ -370,8 +370,6 @@ mod tests {
                 seed: 3,
                 metrics: MetricsLevel::Full,
                 gpu: GpuPreset::KeplerK20m,
-                sim_jobs: Some(2),
-                sim_window: dynapar_gpu::SimWindow::Auto,
             }),
             Request::Status { id: 4 },
             Request::Result { id: 5 },
@@ -423,8 +421,6 @@ mod tests {
                 seed: 1,
                 metrics: MetricsLevel::Full,
                 gpu: GpuPreset::KeplerK20m,
-                sim_jobs: None,
-                sim_window: dynapar_gpu::SimWindow::Auto,
             },
             policies: vec![PolicySpec::Threshold(4), PolicySpec::Spawn],
             fork_warmup: None,

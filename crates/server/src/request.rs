@@ -2,8 +2,8 @@
 //!
 //! A [`JobRequest`] is everything needed to run one simulation and emit
 //! its [`RunArtifact`]: a workload reference, a policy, a seed, a
-//! metrics level, a GPU preset, and the (byte-invisible) execution
-//! backend. The CLI's `run` subcommand and the daemon's `submit`
+//! metrics level, and a GPU preset. The CLI's `run` subcommand and the
+//! daemon's `submit`
 //! request both construct this type and both execute through
 //! [`JobRequest::run`], so a `dynapar run` and a server submit with
 //! equal configs produce *byte-identical* artifacts — that identity is
@@ -18,8 +18,7 @@ use dynapar_engine::fnv1a_64;
 use dynapar_engine::json::Json;
 use dynapar_gpu::{
     CanonicalConfig, ChildRequest, ControllerEvent, GpuConfig, LaunchController, LaunchDecision,
-    MetricsLevel, MonitoredMetrics, QueueBackend, RunArtifact, RunOutcome, SimBackend, SimWindow,
-    WatchHook,
+    MetricsLevel, MonitoredMetrics, RunArtifact, RunOutcome, WatchHook,
 };
 use dynapar_workloads::{suite, Benchmark, BenchmarkSpec, RunOptions, Scale};
 
@@ -156,14 +155,6 @@ pub struct JobRequest {
     pub metrics: MetricsLevel,
     /// GPU preset.
     pub gpu: GpuPreset,
-    /// Worker threads inside the simulation ([`SimBackend::Par`]);
-    /// `None` is the sequential backend. Byte-invisible — deliberately
-    /// *not* part of [`canonical`](JobRequest::canonical), which is why
-    /// a parallel submit can hit a sequential run's memo entry.
-    pub sim_jobs: Option<usize>,
-    /// Lookahead window for the parallel backend. Byte-invisible like
-    /// `sim_jobs` and likewise excluded from the canonical identity.
-    pub sim_window: SimWindow,
 }
 
 impl JobRequest {
@@ -289,15 +280,8 @@ impl JobRequest {
         } else {
             inner
         };
-        let backend = match self.sim_jobs {
-            Some(n) => SimBackend::Par(n),
-            None => SimBackend::Seq,
-        };
         let mut opts = RunOptions {
             trace_capacity,
-            queue: QueueBackend::default(),
-            backend,
-            window: self.sim_window,
             snapshot_at: None,
             snapshot_meta: None,
             watch,
@@ -343,12 +327,6 @@ impl JobRequest {
         members.push(("seed", Json::U64(self.seed)));
         members.push(("metrics", Json::str(self.metrics.as_str())));
         members.push(("gpu", Json::str(self.gpu.name())));
-        if let Some(n) = self.sim_jobs {
-            members.push(("sim_jobs", Json::U64(n as u64)));
-        }
-        if let SimWindow::Fixed(n) = self.sim_window {
-            members.push(("sim_window", Json::U64(n)));
-        }
         Json::obj(members)
     }
 
@@ -357,8 +335,7 @@ impl JobRequest {
     /// a default config), and exactly one of `bench`/`spec` is required.
     ///
     /// Defaults for omitted keys: `scale` paper, `seed` the suite
-    /// default, `metrics` full, `gpu` kepler-k20m, `sim_jobs`
-    /// sequential.
+    /// default, `metrics` full, `gpu` kepler-k20m.
     ///
     /// # Errors
     ///
@@ -369,7 +346,7 @@ impl JobRequest {
             .ok_or_else(|| "job must be a JSON object".to_string())?;
         const KNOWN: [&str; 7] = ["bench", "scale", "spec", "policy", "seed", "metrics", "gpu"];
         for (k, _) in members {
-            if !KNOWN.contains(&k.as_str()) && k != "sim_jobs" && k != "sim_window" {
+            if !KNOWN.contains(&k.as_str()) {
                 return Err(format!("unknown job key {k:?}"));
             }
         }
@@ -431,24 +408,12 @@ impl JobRequest {
             Some(g) => GpuPreset::parse(g)
                 .ok_or_else(|| format!("bad gpu {g:?}; expected kepler-k20m|pascal-like|test-small"))?,
         };
-        let sim_jobs = match u64_key("sim_jobs")? {
-            None => None,
-            Some(0) => return Err("job key \"sim_jobs\" must be at least 1".into()),
-            Some(n) => Some(n as usize),
-        };
-        let sim_window = match u64_key("sim_window")? {
-            None => SimWindow::Auto,
-            Some(0) => return Err("job key \"sim_window\" must be at least 1".into()),
-            Some(n) => SimWindow::Fixed(n),
-        };
         Ok(JobRequest {
             workload,
             policy,
             seed: u64_key("seed")?.unwrap_or(suite::DEFAULT_SEED),
             metrics,
             gpu,
-            sim_jobs,
-            sim_window,
         })
     }
 }
@@ -566,8 +531,6 @@ mod tests {
             seed: 7,
             metrics: MetricsLevel::Full,
             gpu: GpuPreset::KeplerK20m,
-            sim_jobs: None,
-            sim_window: SimWindow::Auto,
         }
     }
 
@@ -577,7 +540,6 @@ mod tests {
         let back = JobRequest::from_json(&req.to_json()).expect("round-trip");
         assert_eq!(back, req);
         let mut req = tiny_req();
-        req.sim_jobs = Some(4);
         req.workload = WorkloadRef::Spec {
             text: "name demo\napp bfs\n".into(),
         };
@@ -597,7 +559,15 @@ mod tests {
             (r#"{"bench":"AMR","policy":"warp9"}"#, "unknown policy"),
             (r#"{"bench":"AMR","policy":"spawn","scale":"huge"}"#, "bad scale"),
             (r#"{"bench":"AMR","policy":"spawn","seed":"x"}"#, "seed"),
-            (r#"{"bench":"AMR","policy":"spawn","sim_jobs":0}"#, "sim_jobs"),
+            // Retired execution knobs: rejected like any unknown key.
+            (
+                r#"{"bench":"AMR","policy":"spawn","sim_jobs":2}"#,
+                "unknown job key \"sim_jobs\"",
+            ),
+            (
+                r#"{"bench":"AMR","policy":"spawn","sim_window":4}"#,
+                "unknown job key \"sim_window\"",
+            ),
             (r#"{"spec":"name x","policy":"spawn","scale":"tiny"}"#, "only applies"),
             (r#"[1]"#, "object"),
         ] {
@@ -608,48 +578,25 @@ mod tests {
     }
 
     #[test]
-    fn sim_window_rides_the_wire_but_not_the_identity() {
-        // Auto is the default and stays off the wire, so pre-window
-        // clients and servers interoperate unchanged.
-        let auto = tiny_req();
-        assert!(
-            !auto.to_json().to_string().contains("sim_window"),
-            "Auto must serialize to nothing"
-        );
-        let mut fixed = tiny_req();
-        fixed.sim_window = SimWindow::Fixed(8);
-        assert!(fixed.to_json().to_string().contains("\"sim_window\":8"));
-        let back = JobRequest::from_json(&fixed.to_json()).expect("round-trip");
-        assert_eq!(back, fixed);
-        // Like sim_jobs, the window is a host-side execution knob:
-        // byte-invisible, so it must not split the memo key.
-        assert_eq!(auto.canonical_hash(), fixed.canonical_hash());
-        let bad = Json::parse(r#"{"bench":"AMR","policy":"spawn","sim_window":0}"#).unwrap();
-        let err = JobRequest::from_json(&bad).unwrap_err();
-        assert!(err.contains("sim_window"), "{err}");
-    }
-
-    #[test]
-    fn canonical_identity_ignores_sim_jobs() {
-        let seq = tiny_req();
-        let mut par = tiny_req();
-        par.sim_jobs = Some(4);
-        assert_eq!(seq.canonical_hash(), par.canonical_hash());
+    fn canonical_identity_tracks_run_inputs() {
+        let base = tiny_req();
         let mut other = tiny_req();
         other.seed += 1;
-        assert_ne!(seq.canonical_hash(), other.canonical_hash());
+        assert_ne!(base.canonical_hash(), other.canonical_hash());
         let mut other = tiny_req();
         other.gpu = GpuPreset::TestSmall;
-        assert_ne!(seq.canonical_hash(), other.canonical_hash());
+        assert_ne!(base.canonical_hash(), other.canonical_hash());
     }
 
     #[test]
-    fn artifacts_are_byte_identical_across_backends() {
-        let seq = tiny_req().artifact().expect("seq");
-        let mut preq = tiny_req();
-        preq.sim_jobs = Some(4);
-        let par = preq.artifact().expect("par");
-        assert_eq!(seq.to_string(), par.to_string());
+    fn canonical_hash_is_pinned() {
+        // Persisted `--store` entries are keyed by this hash, so a
+        // daemon restarted on an existing store keeps hitting only while
+        // the value stays put.
+        assert_eq!(
+            format!("{:016x}", tiny_req().canonical_hash()),
+            "3a67e116f057a830"
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn stop(addr: &str, handle: JoinHandle<()>) {
     handle.join().expect("accept loop exits cleanly");
 }
 
-fn tiny_job(bench: &str, policy: PolicySpec, sim_jobs: Option<usize>) -> JobRequest {
+fn tiny_job(bench: &str, policy: PolicySpec) -> JobRequest {
     JobRequest {
         workload: WorkloadRef::Suite {
             bench: bench.to_string(),
@@ -48,8 +48,6 @@ fn tiny_job(bench: &str, policy: PolicySpec, sim_jobs: Option<usize>) -> JobRequ
         seed: 7,
         metrics: MetricsLevel::Full,
         gpu: GpuPreset::KeplerK20m,
-        sim_jobs,
-        sim_window: Default::default(),
     }
 }
 
@@ -121,60 +119,37 @@ fn mid_stream_disconnect_does_not_kill_the_daemon() {
 #[test]
 fn submit_status_result_round_trip_is_byte_identical_to_direct_run() {
     // The acceptance bar: a server round-trip must reproduce the CLI
-    // artifact byte for byte, on both the sequential and the parallel
-    // simulation backend.
-    for sim_jobs in [None, Some(4)] {
-        let job = tiny_job("AMR", PolicySpec::Spawn, sim_jobs);
-        let direct = job.run(None).expect("direct run");
-        let expected = format!("{}\n", direct.artifact.expect("metrics full emits artifact"));
+    // artifact byte for byte.
+    let job = tiny_job("AMR", PolicySpec::Spawn);
+    let direct = job.run(None).expect("direct run");
+    let expected = format!("{}\n", direct.artifact.expect("metrics full emits artifact"));
 
-        let (addr, handle) = start(1);
-        let mut client = Client::connect(&addr).unwrap();
-        let ack = client.submit(&job).expect("submit");
-        assert!(!ack.cached, "fresh daemon cannot have this cached");
-        assert_eq!(ack.hash, format!("{:016x}", job.canonical_hash()));
-
-        let status = client
-            .roundtrip(&Request::Status { id: ack.id })
-            .expect("status");
-        let state = status.get("state").and_then(Json::as_str).unwrap();
-        assert!(
-            ["queued", "running", "done"].contains(&state),
-            "unexpected state {state}"
-        );
-
-        let res = client.result(ack.id).expect("result");
-        assert_eq!(res.id, ack.id);
-        assert_eq!(res.hash, ack.hash);
-        let wire = format!("{}\n", res.artifact);
-        assert_eq!(
-            wire, expected,
-            "server artifact differs from direct run (sim_jobs {sim_jobs:?})"
-        );
-
-        // Terminal status is now `done`.
-        let status = client
-            .roundtrip(&Request::Status { id: ack.id })
-            .expect("status after result");
-        assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
-        stop(&addr, handle);
-    }
-}
-
-#[test]
-fn sequential_and_parallel_submissions_share_one_memo_entry() {
-    // sim_jobs is not part of the canonical config (artifacts are
-    // byte-identical across backends), so a par:4 submit after a seq
-    // run is a memo hit.
     let (addr, handle) = start(1);
     let mut client = Client::connect(&addr).unwrap();
-    let seq = tiny_job("GC-citation", PolicySpec::Baseline, None);
-    let par = tiny_job("GC-citation", PolicySpec::Baseline, Some(4));
-    let first = client.run(&seq).expect("seq run");
-    let second = client.run(&par).expect("par run");
-    assert!(!first.cached && second.cached);
-    assert_eq!(first.hash, second.hash);
-    assert_eq!(first.artifact.to_string(), second.artifact.to_string());
+    let ack = client.submit(&job).expect("submit");
+    assert!(!ack.cached, "fresh daemon cannot have this cached");
+    assert_eq!(ack.hash, format!("{:016x}", job.canonical_hash()));
+
+    let status = client
+        .roundtrip(&Request::Status { id: ack.id })
+        .expect("status");
+    let state = status.get("state").and_then(Json::as_str).unwrap();
+    assert!(
+        ["queued", "running", "done"].contains(&state),
+        "unexpected state {state}"
+    );
+
+    let res = client.result(ack.id).expect("result");
+    assert_eq!(res.id, ack.id);
+    assert_eq!(res.hash, ack.hash);
+    let wire = format!("{}\n", res.artifact);
+    assert_eq!(wire, expected, "server artifact differs from direct run");
+
+    // Terminal status is now `done`.
+    let status = client
+        .roundtrip(&Request::Status { id: ack.id })
+        .expect("status after result");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
     stop(&addr, handle);
 }
 
@@ -182,7 +157,7 @@ fn sequential_and_parallel_submissions_share_one_memo_entry() {
 fn memo_hit_is_observable_in_daemon_stats() {
     let (addr, handle) = start(1);
     let mut client = Client::connect(&addr).unwrap();
-    let job = tiny_job("MM-small", PolicySpec::Flat, None);
+    let job = tiny_job("MM-small", PolicySpec::Flat);
     let first = client.run(&job).expect("first run");
     assert!(!first.cached);
     let second = client.run(&job).expect("second run");
@@ -207,7 +182,7 @@ fn memo_hit_is_observable_in_daemon_stats() {
 fn metrics_and_health_report_executed_work() {
     let (addr, handle) = start(1);
     let mut client = Client::connect(&addr).unwrap();
-    let job = tiny_job("MM-small", PolicySpec::Flat, None);
+    let job = tiny_job("MM-small", PolicySpec::Flat);
     client.run(&job).expect("first run");
     client.run(&job).expect("memo hit");
 
@@ -264,7 +239,7 @@ fn log_and_trace_sinks_capture_the_session() {
     let handle = std::thread::spawn(move || server.run().expect("serve"));
 
     let mut client = Client::connect(&addr).unwrap();
-    let job = tiny_job("MM-small", PolicySpec::Flat, None);
+    let job = tiny_job("MM-small", PolicySpec::Flat);
     let first = client.run(&job).expect("first run");
     let second = client.run(&job).expect("memo hit");
     assert_eq!(first.artifact.to_string(), second.artifact.to_string());
@@ -305,7 +280,7 @@ fn sweep_request_admits_every_point_and_coalesces_duplicates() {
     let (addr, handle) = start(1);
     let mut client = Client::connect(&addr).unwrap();
     let sweep = SweepRequest {
-        base: tiny_job("AMR", PolicySpec::Flat, None),
+        base: tiny_job("AMR", PolicySpec::Flat),
         policies: vec![PolicySpec::Flat, PolicySpec::Spawn, PolicySpec::Flat],
         fork_warmup: None,
     };
@@ -342,8 +317,6 @@ fn ramp_job(policy: PolicySpec) -> JobRequest {
         seed: 7,
         metrics: MetricsLevel::Full,
         gpu: GpuPreset::KeplerK20m,
-        sim_jobs: None,
-        sim_window: Default::default(),
     }
 }
 
@@ -425,7 +398,7 @@ fn fork_sweep_artifacts_are_byte_identical_to_cold_runs() {
 fn store_backed_daemon_survives_restart_with_its_memo_cache() {
     let dir = std::env::temp_dir().join(format!("dynapar-proto-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let job = tiny_job("AMR", PolicySpec::Spawn, None);
+    let job = tiny_job("AMR", PolicySpec::Spawn);
 
     let (addr, handle) = start_with(1, Some(dir.clone()));
     let mut client = Client::connect(&addr).unwrap();
@@ -454,7 +427,7 @@ fn watch_streams_telemetry_samples() {
     let (addr, handle) = start(1);
     let mut client = Client::connect(&addr).unwrap();
     let ack = client
-        .submit(&tiny_job("BFS-citation", PolicySpec::Spawn, None))
+        .submit(&tiny_job("BFS-citation", PolicySpec::Spawn))
         .expect("submit");
     client.result(ack.id).expect("job finishes");
     // Samples accumulate in the job's ring until a watcher drains them,
@@ -490,7 +463,7 @@ fn watch_streams_telemetry_samples() {
 fn metrics_off_submissions_are_rejected_up_front() {
     let (addr, handle) = start(1);
     let mut client = Client::connect(&addr).unwrap();
-    let mut job = tiny_job("AMR", PolicySpec::Flat, None);
+    let mut job = tiny_job("AMR", PolicySpec::Flat);
     job.metrics = MetricsLevel::Off;
     let err = client.submit(&job).unwrap_err();
     assert!(err.contains("off"), "unexpected error: {err}");

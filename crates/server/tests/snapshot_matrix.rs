@@ -1,6 +1,6 @@
 //! Snapshot/resume byte-identity matrix: for every combination of
-//! capture cycle {start, mid-run, late-run} × simulation backend
-//! {sequential, parallel} × launch policy {spawn, dtbl, free-launch},
+//! capture cycle {start, mid-run, late-run} × launch policy
+//! {spawn, dtbl, free-launch},
 //! a run that snapshots at cycle C and a fresh run resumed from that
 //! snapshot must both reproduce the uninterrupted run's artifact byte
 //! for byte. This is the invariant that makes warm-start fork sweeps a
@@ -11,7 +11,7 @@ use dynapar_gpu::MetricsLevel;
 use dynapar_server::{GpuPreset, JobRequest, Observation, WorkloadRef};
 use dynapar_workloads::Scale;
 
-fn job(policy: PolicySpec, sim_jobs: Option<usize>) -> JobRequest {
+fn job(policy: PolicySpec) -> JobRequest {
     JobRequest {
         workload: WorkloadRef::Suite {
             bench: "AMR".to_string(),
@@ -21,48 +21,44 @@ fn job(policy: PolicySpec, sim_jobs: Option<usize>) -> JobRequest {
         seed: 7,
         metrics: MetricsLevel::Full,
         gpu: GpuPreset::KeplerK20m,
-        sim_jobs,
-        sim_window: Default::default(),
     }
 }
 
 #[test]
-fn resume_is_byte_identical_across_cycles_backends_and_policies() {
+fn resume_is_byte_identical_across_cycles_and_policies() {
     let policies = [PolicySpec::Spawn, PolicySpec::Dtbl, PolicySpec::FreeLaunch];
-    for sim_jobs in [None, Some(4)] {
-        for policy in &policies {
-            let req = job(policy.clone(), sim_jobs);
-            let cold_out = req.run(None).expect("cold run");
-            let total = cold_out.report.total_cycles;
-            let cold = cold_out.artifact.expect("artifact").to_string();
-            assert!(total >= 4, "run long enough to pick interior cycles");
-            for cycle in [0, total / 2, total * 3 / 4] {
-                let cell = format!("policy {policy:?}, sim_jobs {sim_jobs:?}, cycle {cycle}");
-                let armed = req
-                    .run_armed(cycle, Observation::default())
-                    .expect("armed run");
-                assert_eq!(
-                    armed.artifact.expect("artifact").to_string(),
-                    cold,
-                    "arming a snapshot changed artifact bytes ({cell})"
-                );
-                let snap = armed.snapshot.expect("snapshot captured mid-run");
-                let resumed = req
-                    .run_forked(&snap, Observation::default())
-                    .expect("resumed run");
-                assert_eq!(
-                    resumed.artifact.expect("artifact").to_string(),
-                    cold,
-                    "resumed run diverged from the uninterrupted run ({cell})"
-                );
-            }
+    for policy in &policies {
+        let req = job(policy.clone());
+        let cold_out = req.run(None).expect("cold run");
+        let total = cold_out.report.total_cycles;
+        let cold = cold_out.artifact.expect("artifact").to_string();
+        assert!(total >= 4, "run long enough to pick interior cycles");
+        for cycle in [0, total / 2, total * 3 / 4] {
+            let cell = format!("policy {policy:?}, cycle {cycle}");
+            let armed = req
+                .run_armed(cycle, Observation::default())
+                .expect("armed run");
+            assert_eq!(
+                armed.artifact.expect("artifact").to_string(),
+                cold,
+                "arming a snapshot changed artifact bytes ({cell})"
+            );
+            let snap = armed.snapshot.expect("snapshot captured mid-run");
+            let resumed = req
+                .run_forked(&snap, Observation::default())
+                .expect("resumed run");
+            assert_eq!(
+                resumed.artifact.expect("artifact").to_string(),
+                cold,
+                "resumed run diverged from the uninterrupted run ({cell})"
+            );
         }
     }
 }
 
 #[test]
 fn corrupted_and_truncated_snapshots_are_rejected() {
-    let req = job(PolicySpec::Spawn, None);
+    let req = job(PolicySpec::Spawn);
     let total = req.run(None).expect("cold").report.total_cycles;
     let snap = req
         .run_armed(total / 2, Observation::default())

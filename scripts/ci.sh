@@ -30,20 +30,6 @@ trap 'rm -rf "$artifact_dir"; [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/
 grep -q '"ccqs_samples"' "$artifact_dir/run.json"
 grep -q '"estimate"' "$artifact_dir/run.json"
 
-echo "== parallel-backend byte identity (windows {1,4,auto} x jobs {1,4}) =="
-# The conservative-window backend (DESIGN.md §12) must be invisible in
-# every artifact byte at every worker count AND every lookahead-window
-# width: the same run has to emit identical JSON, checkable with cmp
-# because artifacts exclude wall-clock timing.
-for w in 1 4 auto; do
-    for j in 1 4; do
-        ./target/release/dynapar run --bench GC-citation --policy spawn --scale tiny \
-            --metrics full --emit-json "$artifact_dir/run-par.json" \
-            --sim-jobs "$j" --sim-window "$w"
-        cmp "$artifact_dir/run.json" "$artifact_dir/run-par.json"
-    done
-done
-
 echo "== snapshot/resume byte identity (run --snapshot-at / --resume) =="
 # A run that captures a snapshot mid-flight and a fresh run resumed
 # from that snapshot must both reproduce the uninterrupted run's
@@ -129,41 +115,6 @@ else
     ./target/release/perf --runs 3 --emit-json "$artifact_dir/perf.json" \
         --baseline results/BENCH_4.json
     grep -q '"dynapar-perf/1"' "$artifact_dir/perf.json"
-
-    echo "== perf smoke, parallel backend (gate vs results/BENCH_6.json) =="
-    # Same gate on the intra-run parallel backend; the baseline records
-    # sim_jobs=4 and the gate refuses cross-backend comparison, so this
-    # only ever measures par-vs-par. Regenerate with
-    # `perf --runs 3 --sim-jobs 4 --emit-json results/BENCH_6.json`.
-    ./target/release/perf --sim-jobs 4 --emit-json "$artifact_dir/perf-par.json" \
-        --baseline results/BENCH_6.json
-    grep -q '"sim_jobs": 4' "$artifact_dir/perf-par.json"
-
-    echo "== perf windowed-parallel gate (vs results/BENCH_9.json, par:4/seq >= 0.85) =="
-    # The multi-cycle lookahead window must keep the parallel backend
-    # competitive with the sequential loop even on this single-core
-    # container (the span protocol amortizes per-cycle merge overhead;
-    # the core clamp keeps excess workers from thrashing). The ratio
-    # compares two measurements from THIS ci run — machine speed drifts
-    # between sessions, so dividing a live number by a committed
-    # baseline would gate the machine, not the code. Regenerate the
-    # baseline with `perf --runs 3 --sim-jobs 4 --sim-window auto
-    # --emit-json results/BENCH_9.json`.
-    ./target/release/perf --runs 3 --sim-jobs 4 --sim-window auto \
-        --emit-json "$artifact_dir/perf-win.json" --baseline results/BENCH_9.json
-    grep -q '"sim_window": "auto"' "$artifact_dir/perf-win.json"
-    grep -q '"window"' "$artifact_dir/perf-win.json"
-    # Last "events_per_sec" in the file is the aggregate total (the
-    # per-run entries precede it; the geomean key spells differently).
-    seq_rate=$(awk -F: '/"events_per_sec":/ { gsub(/[ ,]/, "", $2); r = $2 } END { print r }' \
-        "$artifact_dir/perf.json")
-    win_rate=$(awk -F: '/"events_per_sec":/ { gsub(/[ ,]/, "", $2); r = $2 } END { print r }' \
-        "$artifact_dir/perf-win.json")
-    awk -v s="$seq_rate" -v w="$win_rate" 'BEGIN {
-        ratio = w / s
-        printf "windowed par:4 %.0f ev/s vs seq %.0f ev/s -- ratio %.3f (floor 0.85)\n", w, s, ratio
-        exit (ratio >= 0.85) ? 0 : 1
-    }'
 
     echo "== perf fork-sweep gate (amortization, vs results/BENCH_8.json) =="
     # Measures a four-policy sweep cold and warm (shared ramp + forks);

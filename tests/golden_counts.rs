@@ -19,13 +19,11 @@
 //! behavioral change in the commit message).
 
 use dynapar::core::{BaselineDp, SpawnPolicy};
-use dynapar::gpu::{
-    GpuConfig, InlineAll, LaunchController, MetricsLevel, SimBackend, SimWindow,
-};
-use dynapar::workloads::{suite, RunOptions, Scale};
+use dynapar::gpu::{GpuConfig, InlineAll, LaunchController};
+use dynapar::workloads::{suite, Scale};
 
 /// `(benchmark, scheme, events_processed)` at tiny scale with the
-/// default seed, Table II config, and the default (wheel) queue.
+/// default seed and the Table II config.
 const GOLDEN: &[(&str, &str, u64)] = &[
     ("BFS-graph500", "flat", 1127),
     ("BFS-graph500", "baseline", 893),
@@ -50,31 +48,15 @@ fn controller(scheme: &str, cfg: &GpuConfig) -> Box<dyn LaunchController> {
     }
 }
 
-fn check_backend(backend: SimBackend) {
-    check_windowed(backend, SimWindow::default());
-}
-
-fn check_windowed(backend: SimBackend, window: SimWindow) {
+#[test]
+fn event_counts_match_golden() {
     let cfg = GpuConfig::kepler_k20m();
-    let print =
-        backend == SimBackend::Seq && std::env::var_os("DYNAPAR_GOLDEN").is_some_and(|v| v == "print");
+    let print = std::env::var_os("DYNAPAR_GOLDEN").is_some_and(|v| v == "print");
     let mut drift = Vec::new();
     for &(bench, scheme, expected) in GOLDEN {
         let b = suite::by_name(bench, Scale::Tiny, suite::DEFAULT_SEED)
             .expect("known benchmark");
-        let got = b
-            .run_full_opts(
-                &cfg,
-                controller(scheme, &cfg),
-                MetricsLevel::Off,
-                RunOptions {
-                    backend,
-                    window,
-                    ..RunOptions::default()
-                },
-            )
-            .report
-            .events_processed;
+        let got = b.run(&cfg, controller(scheme, &cfg)).events_processed;
         if print {
             println!("    (\"{bench}\", \"{scheme}\", {got}),");
         } else if got != expected {
@@ -83,31 +65,9 @@ fn check_windowed(backend: SimBackend, window: SimWindow) {
     }
     assert!(
         drift.is_empty(),
-        "simulated behavior drifted from the golden event counts ({backend:?} backend):\n  {}\n\
+        "simulated behavior drifted from the golden event counts:\n  {}\n\
          If the change is intentional, regenerate with \
          DYNAPAR_GOLDEN=print cargo test --test golden_counts -- --nocapture",
         drift.join("\n  ")
     );
-}
-
-#[test]
-fn event_counts_match_golden() {
-    check_backend(SimBackend::Seq);
-}
-
-#[test]
-fn event_counts_match_golden_on_parallel_backend() {
-    // The intra-run parallel backend must reproduce exactly the same
-    // event stream: the golden table is shared, not duplicated, so any
-    // seq/par divergence fails one column and not the other.
-    check_backend(SimBackend::Par(4));
-}
-
-#[test]
-fn event_counts_match_golden_on_windowed_parallel_backend() {
-    // Same shared table with a wide fixed lookahead window: multi-cycle
-    // spans record and replay many anchor ticks per ship, and every
-    // replayed tick must contribute exactly the events the sequential
-    // loop would have processed.
-    check_windowed(SimBackend::Par(4), SimWindow::Fixed(64));
 }
