@@ -5,10 +5,18 @@
 //! so the canonical form zeroes it before comparing Debug renderings.
 
 use dynapar_bench::run_schemes;
-use dynapar_core::{Dtbl, SpawnPolicy};
+use dynapar_core::{Dtbl, PolicySpec, SpawnPolicy};
+use dynapar_engine::fnv1a_64;
 use dynapar_engine::par::par_map;
 use dynapar_gpu::{GpuConfig, Json, MetricsLevel, RunArtifact, SimReport};
+use dynapar_server::{GpuPreset, JobRequest, Observation, WorkloadRef};
 use dynapar_workloads::{suite, RunOptions, Scale};
+
+/// FNV-1a 64 of `dynapar run --bench AMR --scale tiny --policy spawn
+/// --metrics full --emit-json` output.
+const ARTIFACT_FNV: u64 = 0x66c0_3a4c_fef0_f224;
+/// FNV-1a 64 of the same run's `--snapshot-at 3000` container.
+const SNAPSHOT_FNV: u64 = 0xe45b_7323_c7cf_aec1;
 
 /// Renders a report with the nondeterministic wall-clock field zeroed.
 fn canonical(r: &SimReport) -> String {
@@ -170,4 +178,32 @@ fn jobs_eight_matches_jobs_one() {
             );
         }
     }
+}
+
+#[test]
+fn artifact_and_snapshot_bytes_are_pinned() {
+    // Refactors of the simulator must not move a single output byte: a
+    // change to either digest is a behaviour change, not a refactor.
+    // The job is the one `dynapar run --bench AMR --scale tiny --policy
+    // spawn --metrics full` builds.
+    let job = JobRequest {
+        workload: WorkloadRef::Suite {
+            bench: "AMR".to_string(),
+            scale: Scale::Tiny,
+        },
+        policy: PolicySpec::parse("spawn").expect("known policy"),
+        seed: suite::DEFAULT_SEED,
+        metrics: MetricsLevel::Full,
+        gpu: GpuPreset::KeplerK20m,
+    };
+    let out = job.run(None).expect("AMR tiny runs");
+    // `--emit-json` writes the artifact followed by one newline.
+    let text = format!("{}\n", out.artifact.expect("full metrics emit an artifact"));
+    assert_eq!(fnv1a_64(text.as_bytes()), ARTIFACT_FNV, "artifact bytes moved");
+    // `--snapshot-at 3000 --snapshot-out F` writes the container as is.
+    let armed = job
+        .run_armed(3000, Observation::default())
+        .expect("AMR tiny runs armed");
+    let snap = armed.snapshot.expect("AMR tiny runs past cycle 3000");
+    assert_eq!(fnv1a_64(&snap), SNAPSHOT_FNV, "snapshot bytes moved");
 }

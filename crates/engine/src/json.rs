@@ -207,7 +207,11 @@ impl Json {
     /// Parses a JSON document (must consume all non-whitespace input).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -305,6 +309,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -450,12 +455,13 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one whole UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -568,6 +574,35 @@ mod tests {
         let doc = Json::Str("line1\nline2\t\"quoted\"\\\u{1}".to_string());
         let text = doc.to_string();
         assert_eq!(Json::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn multibyte_text_mixes_with_every_escape() {
+        // Two-, three- and four-byte characters directly before and after
+        // each escape, so every plain run starts or ends on one.
+        let text = r#""é\"漢\\🦀\/ü\nß\r€\t𝄞\bñ\f中éx中""#;
+        let want = "é\"漢\\🦀/ü\nß\r€\t𝄞\u{8}ñ\u{c}中éx中";
+        assert_eq!(Json::parse(text).unwrap(), Json::Str(want.to_string()));
+        // Unpaired surrogates still map to the replacement character.
+        assert_eq!(Json::parse(r#""a\ud800b""#).unwrap(), Json::Str("a\u{fffd}b".into()));
+        // The emitter's output parses back to the same string.
+        let doc = Json::Str(want.to_string());
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+        for bad in [r#""é\q""#, r#""漢\u12""#, r#""🦀\u12zz""#, r#""ü"#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn one_mebibyte_string_member_parses() {
+        // One wire line may hold 1 MiB. A parser that rescans the rest
+        // of the input per character needs minutes for this; a linear
+        // one needs milliseconds.
+        let big: String = "aé漢🦀".repeat((1 << 20) / 10);
+        let text = format!(r#"{{"spec":{}}}"#, Json::Str(big.clone()));
+        assert!(text.len() >= 1 << 20);
+        let doc = Json::parse(&text).unwrap();
+        assert_eq!(doc.get("spec").and_then(Json::as_str), Some(big.as_str()));
     }
 
     #[test]

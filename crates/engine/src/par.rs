@@ -1,25 +1,20 @@
-//! Deterministic parallelism primitives: a reusable scoped worker pool,
-//! an order-preserving parallel map built on it, and a long-lived owned
-//! work queue for daemons.
+//! Deterministic parallelism primitives: an order-preserving parallel
+//! map, and a long-lived owned work queue for daemons.
 //!
-//! Three layers share this module. The experiment drivers (scheme
+//! Two layers share this module. The experiment drivers (scheme
 //! comparisons, threshold sweeps, figure scripts) run many *independent*
 //! simulations through [`par_map`]; each simulation stays deterministic,
 //! so running N of them on N cores changes nothing about any individual
-//! result. [`par_map`] is a thin client of [`Pool`], a scoped pool whose
-//! workers live for one call frame. Finally, the `dynapar-server`
-//! daemon needs workers that outlive any one call frame and *survive
-//! panicking jobs*: that is [`WorkQueue`], the owned (non-scoped)
-//! sibling of `Pool` built on the same task-queue internals.
-//!
-//! There is no dependency on a thread-pool crate: workers are
-//! [`std::thread::scope`] (or, for [`WorkQueue`], [`std::thread::spawn`])
-//! threads looping on a mutex-protected task queue with a condvar,
-//! returning results over a bounded channel. A panic in any [`Pool`] job
-//! is caught on the worker and re-raised on the caller at the matching
-//! [`Pool::recv`], exactly like the serial loop; a panic in a
+//! result. Its workers are [`std::thread::scope`] threads that claim
+//! items through one atomic index, and a panic in any job re-raises on
+//! the caller. The `dynapar-server` daemon needs workers that outlive
+//! any one call frame and *survive panicking jobs*: that is
+//! [`WorkQueue`], whose [`std::thread::spawn`] workers loop on a
+//! mutex-protected task queue with a condvar. A panic in a
 //! [`WorkQueue`] job is swallowed after the job's own handler had its
 //! chance, and the worker lives on to serve the next task.
+//!
+//! There is no dependency on a thread-pool crate.
 //!
 //! # Examples
 //!
@@ -32,7 +27,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Environment variable consulted by [`default_jobs`]; same meaning as
@@ -68,13 +63,12 @@ fn jobs_from_env(env: Option<&str>, hw: usize) -> usize {
 /// Task queue shared between the submitting thread and the workers.
 struct Queue<T> {
     tasks: VecDeque<T>,
-    /// Set once the pool scope is over; woken workers exit instead of
+    /// Set once the queue is stopping; woken workers exit instead of
     /// sleeping again.
     shutdown: bool,
 }
 
-/// The mutex+condvar task queue both [`Pool`] (scoped, borrowing) and
-/// [`WorkQueue`] (owned, `'static`) workers loop on.
+/// The mutex+condvar task queue [`WorkQueue`] workers loop on.
 struct Shared<T> {
     queue: Mutex<Queue<T>>,
     cv: Condvar,
@@ -146,145 +140,12 @@ impl<T> Shared<T> {
     }
 }
 
-/// Sets `shutdown` and wakes every worker. Runs on drop so workers are
-/// released even when the pool body panics — otherwise
-/// `std::thread::scope` would join blocked workers forever.
-struct ShutdownGuard<'a, T>(&'a Shared<T>);
-
-impl<T> Drop for ShutdownGuard<'_, T> {
-    fn drop(&mut self) {
-        self.0.stop(false);
-    }
-}
-
-enum Mode<'a, T, R> {
-    /// `jobs <= 1`: tasks run inline on `send`, results queue locally.
-    /// A faithful serial baseline with zero thread machinery.
-    Serial {
-        f: &'a dyn Fn(T) -> R,
-        ready: VecDeque<R>,
-    },
-    /// Worker threads drain the shared queue; results come back over a
-    /// bounded channel in completion order.
-    Threads {
-        shared: &'a Shared<T>,
-        rx: mpsc::Receiver<std::thread::Result<R>>,
-    },
-}
-
-/// A scoped worker pool: submit tasks with [`send`](Pool::send), collect
-/// results with [`recv`](Pool::recv). Results arrive in *completion*
-/// order (serial mode: submission order); callers that need positional
-/// order tag tasks with their index, as [`par_map`] does.
+/// A long-lived, owned worker queue.
 ///
-/// Built by [`Pool::scope`], which fixes the worker function for the
-/// pool's whole lifetime — the same N threads serve every task, so
-/// feeding the pool from a hot loop costs a queue push and a condvar
-/// signal, not a thread spawn.
-pub struct Pool<'a, T, R> {
-    mode: Mode<'a, T, R>,
-    pending: usize,
-}
-
-impl<T: Send, R: Send> Pool<'_, T, R> {
-    /// Runs `body` with a pool of `jobs` workers all executing `f`, and
-    /// returns `body`'s result. Workers live exactly as long as `body`:
-    /// they are scoped threads, joined before `scope` returns, so `f`
-    /// may borrow from the caller's stack.
-    ///
-    /// `capacity` pre-sizes the task queue and result channel; sized to
-    /// the maximum number of in-flight tasks, the steady state allocates
-    /// nothing per task. With `jobs <= 1` no threads are created and
-    /// every task runs inline on `send`.
-    pub fn scope<F, B, Out>(jobs: usize, capacity: usize, f: F, body: B) -> Out
-    where
-        F: Fn(T) -> R + Sync,
-        B: FnOnce(&mut Pool<'_, T, R>) -> Out,
-    {
-        if jobs <= 1 {
-            let mut pool = Pool {
-                mode: Mode::Serial {
-                    f: &f,
-                    ready: VecDeque::with_capacity(capacity),
-                },
-                pending: 0,
-            };
-            return body(&mut pool);
-        }
-        let shared = Shared::with_capacity(capacity);
-        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
-        std::thread::scope(|scope| {
-            let _guard = ShutdownGuard(&shared);
-            for _ in 0..jobs {
-                let tx = tx.clone();
-                let shared = &shared;
-                let f = &f;
-                scope.spawn(move || {
-                    while let Some(task) = shared.next_task() {
-                        // Catch so one panicking task reaches the caller
-                        // as a result instead of deadlocking its `recv`.
-                        let res = catch_unwind(AssertUnwindSafe(|| f(task)));
-                        if tx.send(res).is_err() {
-                            return; // caller gone (body panicked); stop
-                        }
-                    }
-                });
-            }
-            let mut pool = Pool {
-                mode: Mode::Threads {
-                    shared: &shared,
-                    rx,
-                },
-                pending: 0,
-            };
-            body(&mut pool)
-            // _guard drops here: shutdown + notify_all, then the scope
-            // joins the (now exiting) workers.
-        })
-    }
-
-    /// Submits one task. Serial mode runs it immediately on the calling
-    /// thread; threaded mode enqueues it and wakes one worker.
-    pub fn send(&mut self, task: T) {
-        self.pending += 1;
-        match &mut self.mode {
-            Mode::Serial { f, ready } => ready.push_back(f(task)),
-            Mode::Threads { shared, .. } => shared.push(task),
-        }
-    }
-
-    /// Receives one result, blocking until a task completes. Results
-    /// arrive in completion order (serial mode: submission order). If
-    /// the corresponding task panicked, the panic resumes here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with no outstanding [`send`](Pool::send).
-    pub fn recv(&mut self) -> R {
-        assert!(self.pending > 0, "Pool::recv without a matching send");
-        self.pending -= 1;
-        match &mut self.mode {
-            Mode::Serial { ready, .. } => ready.pop_front().expect("serial result is ready"),
-            Mode::Threads { rx, .. } => match rx.recv().expect("pool workers alive") {
-                Ok(r) => r,
-                Err(payload) => resume_unwind(payload),
-            },
-        }
-    }
-
-    /// Number of submitted tasks whose results have not been received.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-}
-
-/// A long-lived, owned worker queue: the daemon-grade sibling of
-/// [`Pool`].
-///
-/// Where `Pool` is scoped (workers live exactly as long as one call
-/// frame and panics re-raise at `recv`), a `WorkQueue` owns `'static`
-/// worker threads that keep serving tasks for the queue's whole
-/// lifetime. Tasks run strictly FIFO across all submitters, which is
+/// Where [`par_map`] is scoped (workers live exactly as long as one
+/// call and panics re-raise on the caller), a `WorkQueue` owns
+/// `'static` worker threads that keep serving tasks for the queue's
+/// whole lifetime. Tasks run strictly FIFO across all submitters, which is
 /// what gives the `dynapar-server` job queue its cross-client fairness.
 ///
 /// A panicking task does **not** kill its worker: the handler is
@@ -318,7 +179,7 @@ pub struct WorkQueue<T: Send + 'static> {
 
 impl<T: Send + 'static> WorkQueue<T> {
     /// Starts `jobs.max(1)` worker threads, each running `f` on every
-    /// task it pops. Unlike [`Pool::scope`] there is no serial mode: a
+    /// task it pops. Unlike [`par_map`] there is no serial mode: a
     /// daemon must not execute jobs on its control thread, so even
     /// `jobs = 1` gets a real worker.
     pub fn new<F>(jobs: usize, f: F) -> Self
@@ -399,7 +260,7 @@ impl<T: Send + 'static> Drop for WorkQueue<T> {
 /// faithful serial baseline.
 ///
 /// If any invocation of `f` panics, the panic propagates to the caller
-/// (other in-flight jobs run to completion first; queued jobs are
+/// (other in-flight jobs run to completion first; unclaimed items are
 /// abandoned).
 pub fn par_map<T, R, F>(items: Vec<T>, jobs: usize, f: F) -> Vec<R>
 where
@@ -411,24 +272,52 @@ where
     if jobs <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
-    // Tag each item with its index so completion order cannot leak into
-    // the output: results land positionally.
+    // Workers claim items by index, so completion order cannot leak
+    // into the output: results land positionally. The index publishes
+    // no data (each item moves through its slot's mutex, each result
+    // through `join`), so `Relaxed` suffices.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    Pool::scope(
-        jobs.min(n),
-        n,
-        |(i, item): (usize, T)| (i, f(item)),
-        |pool| {
-            for task in items.into_iter().enumerate() {
-                pool.send(task);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs.min(n))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(i) else {
+                            return done;
+                        };
+                        let item = slot
+                            .lock()
+                            .expect("slot lock")
+                            .take()
+                            .expect("claimed once");
+                        match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                            Ok(r) => done.push((i, r)),
+                            Err(payload) => {
+                                // Stop the other workers claiming items.
+                                next.store(n, Ordering::Relaxed);
+                                resume_unwind(payload);
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        out[i] = Some(r);
+                    }
+                }
+                Err(payload) => resume_unwind(payload),
             }
-            for _ in 0..n {
-                let (i, r) = pool.recv();
-                out[i] = Some(r);
-            }
-        },
-    );
+        }
+    });
     out.into_iter()
         .map(|slot| slot.expect("every index receives exactly one result"))
         .collect()
@@ -521,67 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_tasks_and_returns_results() {
-        for jobs in [1, 2, 4] {
-            let total: u64 = Pool::scope(jobs, 16, |x: u64| x * 2, |pool| {
-                for x in 0..16u64 {
-                    pool.send(x);
-                }
-                (0..16).map(|_| pool.recv()).sum()
-            });
-            assert_eq!(total, (0..16u64).map(|x| x * 2).sum(), "jobs {jobs}");
-        }
-    }
-
-    #[test]
-    fn pool_is_reusable_across_waves() {
-        // The sim backend's shape: many small send/recv waves against
-        // the same pool, with full drains between waves.
-        Pool::scope(3, 8, |x: u32| x + 1, |pool| {
-            for wave in 0..200u32 {
-                let k = (wave % 5) + 1;
-                for i in 0..k {
-                    pool.send(wave * 10 + i);
-                }
-                let mut got: Vec<u32> = (0..k).map(|_| pool.recv()).collect();
-                got.sort_unstable();
-                let want: Vec<u32> = (0..k).map(|i| wave * 10 + i + 1).collect();
-                assert_eq!(got, want);
-                assert_eq!(pool.pending(), 0);
-            }
-        });
-    }
-
-    #[test]
-    fn pool_serial_mode_runs_inline_in_order() {
-        Pool::scope(1, 4, |x: u32| x * x, |pool| {
-            pool.send(2);
-            pool.send(3);
-            assert_eq!(pool.pending(), 2);
-            assert_eq!(pool.recv(), 4);
-            assert_eq!(pool.recv(), 9);
-        });
-    }
-
-    #[test]
-    fn pool_task_panic_reaches_recv() {
-        for jobs in [1, 4] {
-            let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                Pool::scope(jobs, 4, |x: u32| {
-                    if x == 1 {
-                        panic!("task boom");
-                    }
-                    x
-                }, |pool| {
-                    pool.send(1);
-                    pool.recv()
-                })
-            }));
-            assert!(r.is_err(), "jobs {jobs}");
-        }
-    }
-
-    #[test]
     fn work_queue_runs_tasks_fifo_with_one_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let order = std::sync::Arc::new(Mutex::new(Vec::new()));
@@ -649,18 +477,5 @@ mod tests {
         // (the worker may pop more after the gate opens, racing stop).
         assert!(dropped.len() <= 4, "dropped {:?}", dropped);
         assert_eq!(ran.load(Ordering::SeqCst) + dropped.len(), 5);
-    }
-
-    #[test]
-    fn pool_body_panic_does_not_deadlock_workers() {
-        // Body panics with tasks still queued; the shutdown guard must
-        // release the sleeping workers so the scope can join them.
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Pool::scope(2, 4, |x: u32| x, |pool| {
-                pool.send(7);
-                panic!("body boom");
-            })
-        }));
-        assert!(r.is_err());
     }
 }

@@ -12,15 +12,13 @@
 //!   microsecond samples, the storage behind the server's latency
 //!   telemetry (always-mergeable, byte-stable JSON),
 //! * [`Cdf`] — empirical CDF over recorded values (Fig. 20),
-//! * [`Summary`] — one-pass descriptive statistics (mean/sd/percentiles),
-//! * [`Timeline`] — periodic samples of arbitrary payloads (Figs. 6, 19).
+//! * [`Summary`] — one-pass descriptive statistics (mean/sd/percentiles).
 
 mod cdf;
 mod histogram;
 mod latency;
 mod mean;
 mod summary;
-mod timeline;
 mod weighted;
 mod windowed;
 
@@ -29,6 +27,5 @@ pub use histogram::Histogram;
 pub use latency::{LatencyHistogram, LATENCY_BUCKETS};
 pub use mean::RunningMean;
 pub use summary::Summary;
-pub use timeline::Timeline;
 pub use weighted::TimeWeighted;
 pub use windowed::{WindowedEventAvg, WindowedTimeAvg};

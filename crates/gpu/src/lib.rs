@@ -88,7 +88,6 @@ mod kernel;
 pub mod mem;
 pub mod perfetto;
 mod profile;
-mod shard;
 mod sim;
 pub mod snap;
 mod smx;

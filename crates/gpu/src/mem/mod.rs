@@ -15,6 +15,7 @@ use dynapar_engine::snap::{ByteReader, ByteWriter, SnapError};
 use dynapar_engine::Cycle;
 
 use crate::config::MemConfig;
+use crate::ids::SmxId;
 use crate::profile::DRAM;
 
 /// Aggregate memory-system counters for a run.
@@ -127,70 +128,16 @@ impl MshrSet {
     }
 }
 
-/// One SMX's private slice of the memory hierarchy: its L1 data cache
-/// and MSHR set.
-///
-/// Owned by the SMX's shard rather than by [`MemSystem`], which keeps
-/// only the shared L2/DRAM/stats state. A warp read takes two steps
-/// ([`SmxL1::probe`] then [`MemSystem::service_read`]); the split is
-/// invisible to simulated timing and counters.
+/// One SMX's L1 data cache and its MSHR set.
 #[derive(Debug)]
-pub struct SmxL1 {
+struct L1 {
     cache: Cache,
     mshrs: MshrSet,
 }
 
-impl SmxL1 {
-    /// Builds one SMX's L1 cache and (empty) MSHR set.
-    pub fn new(cfg: &MemConfig) -> Self {
-        SmxL1 {
-            cache: Cache::with_geometry(cfg.l1_bytes, cfg.line_bytes, cfg.l1_ways),
-            mshrs: MshrSet::default(),
-        }
-    }
-
-    /// Probes every line of one warp transaction against the L1 tags in
-    /// input order, filling on miss; returns the hit count and appends
-    /// the missing lines to `misses` (also in input order).
-    ///
-    /// Pure tag work: no statistics, no MSHRs, no lower levels. Timing
-    /// and counting happen when the result is handed to
-    /// [`MemSystem::service_read`].
-    pub fn probe(&mut self, lines: &[u64], misses: &mut Vec<u64>) -> u64 {
-        let mut hits = 0u64;
-        for &line in lines {
-            if self.cache.probe_fill(line) {
-                hits += 1;
-            } else {
-                misses.push(line);
-            }
-        }
-        hits
-    }
-
-    /// Serializes the L1 tag array and MSHR occupancy for a snapshot.
-    pub fn encode_state(&self, w: &mut ByteWriter) {
-        self.cache.encode_state(w);
-        self.mshrs.encode_state(w);
-    }
-
-    /// Rebuilds one SMX's L1 state from
-    /// [`encode_state`](SmxL1::encode_state) bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates malformed cache geometry or truncated input.
-    pub fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, SnapError> {
-        Ok(SmxL1 {
-            cache: Cache::decode_state(r)?,
-            mshrs: MshrSet::decode_state(r)?,
-        })
-    }
-}
-
-/// The shared half of the memory system: the address-interleaved L2,
-/// the crossbar, the DRAM channels, and the run counters. Each SMX's
-/// private L1/MSHR state lives in an [`SmxL1`] owned by the caller.
+/// The whole memory hierarchy: every SMX's L1 and MSHR set, the
+/// address-interleaved L2, the crossbar, the DRAM channels, and the run
+/// counters.
 ///
 /// `warp_read` is the hot path: given the unique cache lines touched by one
 /// warp round (already coalesced), it probes the issuing SMX's L1, sends
@@ -202,32 +149,37 @@ impl SmxL1 {
 ///
 /// ```
 /// use dynapar_engine::{profile::Profiler, Cycle};
-/// use dynapar_gpu::{config::MemConfig, mem::{MemSystem, SmxL1}};
+/// use dynapar_gpu::{config::MemConfig, mem::MemSystem, SmxId};
 ///
 /// let mut prof = Profiler::new(&[]); // disabled: attribution off
-/// let mut m = MemSystem::new(&MemConfig::default());
-/// let mut l1 = SmxL1::new(&MemConfig::default());
-/// let cold = m.warp_read(Cycle(0), &mut l1, &[0], &mut prof);
-/// let warm = m.warp_read(cold, &mut l1, &[0], &mut prof);
+/// let mut m = MemSystem::new(&MemConfig::default(), 1);
+/// let cold = m.warp_read(Cycle(0), SmxId(0), &[0], &mut prof);
+/// let warm = m.warp_read(cold, SmxId(0), &[0], &mut prof);
 /// assert!(warm - cold < cold - Cycle(0)); // L1 hit is much cheaper
 /// ```
 #[derive(Debug)]
 pub struct MemSystem {
     cfg: MemConfig,
+    /// Per-SMX L1 state, indexed by [`SmxId`].
+    l1: Vec<L1>,
     l2: Vec<L2Partition>,
     dram: Vec<DramChannel>,
     /// L2 partitions per memory controller, precomputed so the miss path
     /// does not re-derive it (with a division) on every transaction.
     parts_per_mc: usize,
-    /// L1-miss lines of the warp transaction in flight, reused across
-    /// calls by `warp_read`'s two-pass split.
-    miss_buf: Vec<u64>,
     stats: MemStats,
 }
 
 impl MemSystem {
-    /// Builds the shared hierarchy (L2 partitions and DRAM channels).
-    pub fn new(cfg: &MemConfig) -> Self {
+    /// Builds the hierarchy for `smxs` cores: one L1 per SMX, the L2
+    /// partitions and the DRAM channels, all empty.
+    pub fn new(cfg: &MemConfig, smxs: usize) -> Self {
+        let l1 = (0..smxs)
+            .map(|_| L1 {
+                cache: Cache::with_geometry(cfg.l1_bytes, cfg.line_bytes, cfg.l1_ways),
+                mshrs: MshrSet::default(),
+            })
+            .collect();
         let l2 = (0..cfg.l2_partitions)
             .map(|_| L2Partition {
                 cache: Cache::with_geometry(cfg.l2_partition_bytes, cfg.line_bytes, cfg.l2_ways),
@@ -248,10 +200,10 @@ impl MemSystem {
             .collect();
         MemSystem {
             cfg: cfg.clone(),
+            l1,
             l2,
             dram,
             parts_per_mc: (cfg.l2_partitions / cfg.memory_controllers) as usize,
-            miss_buf: Vec::with_capacity(64),
             stats: MemStats::default(),
         }
     }
@@ -268,69 +220,47 @@ impl MemSystem {
         }
     }
 
-    /// Services one warp's read transactions (unique `lines`) issued
-    /// through `l1` at time `now`; returns when the slowest completes.
+    /// Services one warp's read transactions (unique `lines`) issued by
+    /// `smx` at time `now`; returns when the slowest completes.
     ///
-    /// The batch is processed in two passes: every line probes the L1
-    /// first (in input order, so tag state evolves exactly as per-line
-    /// dispatch), then the collected misses cross to L2/DRAM, also in
-    /// input order. Hits never touch the MSHRs or lower levels and all
-    /// misses issue at the same `now`, so the split is invisible to the
-    /// simulated timing — it exists to keep each pass's working set (L1
-    /// tags, then L2/DRAM state) hot instead of ping-ponging between
-    /// them per line.
+    /// Lines probe the SMX's L1 in input order, filling on miss; each
+    /// miss then takes an MSHR and crosses to L2 and, on an L2 miss,
+    /// DRAM. Hits never touch the MSHRs or lower levels, and every miss
+    /// issues at `now`. This is the only place read statistics are
+    /// updated.
     ///
     /// `prof` attributes the DRAM share of the call when profiling is
     /// compiled in and enabled; pass a disabled profiler otherwise.
     pub fn warp_read(
         &mut self,
         now: Cycle,
-        l1: &mut SmxL1,
+        smx: SmxId,
         lines: &[u64],
         prof: &mut Profiler,
     ) -> Cycle {
-        let mut misses = std::mem::take(&mut self.miss_buf);
-        misses.clear();
-        let hits = l1.probe(lines, &mut misses);
-        let done = self.service_read(now, l1, lines.len() as u64, hits, &misses, prof);
-        self.miss_buf = misses;
-        done
-    }
-
-    /// Second half of a warp read whose L1 probe already happened (via
-    /// [`SmxL1::probe`]): books the counters and walks every miss
-    /// through MSHR admission, the crossbar, L2, and DRAM. `total` is
-    /// the transaction's full line count (`hits + misses.len()`).
-    ///
-    /// This is the only place read statistics are updated.
-    pub(crate) fn service_read(
-        &mut self,
-        now: Cycle,
-        l1: &mut SmxL1,
-        total: u64,
-        hits: u64,
-        misses: &[u64],
-        prof: &mut Profiler,
-    ) -> Cycle {
-        self.stats.l1_accesses += total;
+        let si = smx.index();
+        let mut hits = 0u64;
+        let mut done = now;
+        for &line in lines {
+            if self.l1[si].cache.probe_fill(line) {
+                hits += 1;
+            } else {
+                done = done.max(self.miss_line(now, si, line, prof));
+            }
+        }
+        self.stats.l1_accesses += lines.len() as u64;
         self.stats.l1_hits += hits;
-        let mut done = if hits > 0 {
-            now + self.cfg.l1_hit_latency
-        } else {
-            now
-        };
-        for &line in misses {
-            let completion = self.miss_line(now, &mut l1.mshrs, line, prof);
-            done = done.max(completion);
+        if hits > 0 {
+            done = done.max(now + self.cfg.l1_hit_latency);
         }
         done
     }
 
     /// One L1 miss: allocate an MSHR (stalling if the core's set is
     /// full), then cross the interconnect to the home L2 partition.
-    fn miss_line(&mut self, now: Cycle, mshrs: &mut MshrSet, line: u64, prof: &mut Profiler) -> Cycle {
+    fn miss_line(&mut self, now: Cycle, si: usize, line: u64, prof: &mut Profiler) -> Cycle {
         self.stats.l2_accesses += 1;
-        let issue = mshrs.admit(now, self.cfg.l1_mshrs as usize);
+        let issue = self.l1[si].mshrs.admit(now, self.cfg.l1_mshrs as usize);
         if issue > now {
             self.stats.mshr_stalls += 1;
         }
@@ -351,7 +281,7 @@ impl MemSystem {
             c
         };
         let done = completion + self.cfg.xbar_latency;
-        mshrs.complete_at(done);
+        self.l1[si].mshrs.complete_at(done);
         done
     }
 
@@ -377,10 +307,31 @@ impl MemSystem {
         self.stats
     }
 
-    /// Serializes the shared hierarchy's dynamic state: every L2
-    /// partition's tags and bandwidth frontier, every DRAM channel, and
-    /// the run counters. The transient miss buffer (empty between
-    /// events) and the config (rebuilt by the caller) are not included.
+    /// Serializes one SMX's L1 tags and MSHR occupancy. A snapshot
+    /// writes each SMX's L1 next to that SMX's own state, so the L1s are
+    /// not part of [`encode_state`](MemSystem::encode_state).
+    pub fn encode_l1(&self, smx: SmxId, w: &mut ByteWriter) {
+        let l1 = &self.l1[smx.index()];
+        l1.cache.encode_state(w);
+        l1.mshrs.encode_state(w);
+    }
+
+    /// Restores one SMX's [`encode_l1`](MemSystem::encode_l1) bytes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates malformed cache geometry or truncated input.
+    pub fn decode_l1(&mut self, smx: SmxId, r: &mut ByteReader<'_>) -> Result<(), SnapError> {
+        self.l1[smx.index()] = L1 {
+            cache: Cache::decode_state(r)?,
+            mshrs: MshrSet::decode_state(r)?,
+        };
+        Ok(())
+    }
+
+    /// Serializes the levels below the L1s: every L2 partition's tags
+    /// and bandwidth frontier, every DRAM channel, and the run counters.
+    /// The config (rebuilt by the caller) is not included.
     pub fn encode_state(&self, w: &mut ByteWriter) {
         w.put_len(self.l2.len());
         for part in &self.l2 {
@@ -468,11 +419,10 @@ mod tests {
 
     #[test]
     fn l1_hit_is_fast_and_counted() {
-        let mut m = MemSystem::new(&small_cfg());
-        let mut l1 = SmxL1::new(&small_cfg());
-        m.warp_read(Cycle(0), &mut l1, &[7], &mut np());
+        let mut m = MemSystem::new(&small_cfg(), 1);
+        m.warp_read(Cycle(0), SmxId(0), &[7], &mut np());
         let t0 = Cycle(10_000);
-        let done = m.warp_read(t0, &mut l1, &[7], &mut np());
+        let done = m.warp_read(t0, SmxId(0), &[7], &mut np());
         assert_eq!(done, t0 + m.cfg.l1_hit_latency);
         assert_eq!(m.stats().l1_hits, 1);
         assert_eq!(m.stats().l1_accesses, 2);
@@ -480,13 +430,11 @@ mod tests {
 
     #[test]
     fn l2_hit_when_another_smx_fetched_the_line() {
-        let mut m = MemSystem::new(&small_cfg());
-        let mut l1a = SmxL1::new(&small_cfg());
-        let mut l1b = SmxL1::new(&small_cfg());
-        m.warp_read(Cycle(0), &mut l1a, &[7], &mut np()); // SMX0 pulls through L2
+        let mut m = MemSystem::new(&small_cfg(), 2);
+        m.warp_read(Cycle(0), SmxId(0), &[7], &mut np()); // SMX0 pulls through L2
         let before = m.stats();
         assert_eq!(before.l2_hits, 0);
-        m.warp_read(Cycle(10_000), &mut l1b, &[7], &mut np()); // SMX1 misses L1, hits L2
+        m.warp_read(Cycle(10_000), SmxId(1), &[7], &mut np()); // SMX1 misses L1, hits L2
         let after = m.stats();
         assert_eq!(after.l2_hits, 1);
         assert_eq!(after.dram_accesses, before.dram_accesses);
@@ -494,29 +442,24 @@ mod tests {
 
     #[test]
     fn miss_chain_latency_ordering() {
-        let mut m = MemSystem::new(&small_cfg());
-        let mut l1 = SmxL1::new(&small_cfg());
-        let dram_done = m.warp_read(Cycle(0), &mut l1, &[3], &mut np());
+        let mut m = MemSystem::new(&small_cfg(), 1);
+        let dram_done = m.warp_read(Cycle(0), SmxId(0), &[3], &mut np());
         // L2-resident latency (second SMX refetching a line the first
         // pulled through L2) must be below DRAM latency.
-        let mut m3 = MemSystem::new(&small_cfg());
-        let mut l1a = SmxL1::new(&small_cfg());
-        let mut l1b = SmxL1::new(&small_cfg());
-        m3.warp_read(Cycle(0), &mut l1a, &[3], &mut np());
-        let l2_done = m3.warp_read(Cycle(100_000), &mut l1b, &[3], &mut np()) - Cycle(100_000);
+        let mut m3 = MemSystem::new(&small_cfg(), 2);
+        m3.warp_read(Cycle(0), SmxId(0), &[3], &mut np());
+        let l2_done = m3.warp_read(Cycle(100_000), SmxId(1), &[3], &mut np()) - Cycle(100_000);
         assert!(l2_done < dram_done - Cycle(0), "L2 {l2_done:?} vs DRAM {dram_done:?}");
     }
 
     #[test]
     fn many_lines_return_max_completion() {
-        let mut m = MemSystem::new(&small_cfg());
-        let mut l1 = SmxL1::new(&small_cfg());
-        let one = m.warp_read(Cycle(0), &mut l1, &[100], &mut np());
-        let mut m2 = MemSystem::new(&small_cfg());
-        let mut l1b = SmxL1::new(&small_cfg());
+        let mut m = MemSystem::new(&small_cfg(), 1);
+        let one = m.warp_read(Cycle(0), SmxId(0), &[100], &mut np());
+        let mut m2 = MemSystem::new(&small_cfg(), 1);
         let many = m2.warp_read(
             Cycle(0),
-            &mut l1b,
+            SmxId(0),
             &[100, 101, 102, 103, 104, 105, 106, 107],
             &mut np(),
         );
@@ -527,68 +470,46 @@ mod tests {
     fn bank_contention_serializes_same_partition() {
         let cfg = small_cfg();
         let parts = cfg.l2_partitions as u64;
-        let mut m = MemSystem::new(&cfg);
-        let mut l1 = SmxL1::new(&cfg);
+        let mut m = MemSystem::new(&cfg, 1);
         // Two lines in the same partition vs two in different partitions.
-        let same = m.warp_read(Cycle(0), &mut l1, &[0, parts], &mut np());
-        let mut m2 = MemSystem::new(&cfg);
-        let mut l1b = SmxL1::new(&cfg);
-        let diff = m2.warp_read(Cycle(0), &mut l1b, &[0, 1], &mut np());
+        let same = m.warp_read(Cycle(0), SmxId(0), &[0, parts], &mut np());
+        let mut m2 = MemSystem::new(&cfg, 1);
+        let diff = m2.warp_read(Cycle(0), SmxId(0), &[0, 1], &mut np());
         assert!(same >= diff);
     }
 
     #[test]
     fn writes_count_but_do_not_block() {
-        let mut m = MemSystem::new(&small_cfg());
+        let mut m = MemSystem::new(&small_cfg(), 1);
         m.warp_write(Cycle(0), 55, &mut np());
         assert_eq!(m.stats().writes, 1);
     }
 
     #[test]
-    fn deferred_probe_matches_inline_warp_read() {
-        // The explicit two-step path must book the same latency and
-        // counters as the one-call path.
-        let lines = [7u64, 8, 9, 7 + 256];
-        let mut m1 = MemSystem::new(&small_cfg());
-        let mut a1 = SmxL1::new(&small_cfg());
-        let inline_done = m1.warp_read(Cycle(5), &mut a1, &lines, &mut np());
-
-        let mut m2 = MemSystem::new(&small_cfg());
-        let mut a2 = SmxL1::new(&small_cfg());
-        let mut misses = Vec::new();
-        let hits = a2.probe(&lines, &mut misses);
-        let split_done =
-            m2.service_read(Cycle(5), &mut a2, lines.len() as u64, hits, &misses, &mut np());
-        assert_eq!(inline_done, split_done);
-        assert_eq!(m1.stats(), m2.stats());
-    }
-
-    #[test]
     fn state_round_trips_through_snapshot_bytes() {
         let cfg = small_cfg();
-        let mut m = MemSystem::new(&cfg);
-        let mut l1 = SmxL1::new(&cfg);
+        let mut m = MemSystem::new(&cfg, 1);
         // Touch L1, L2, DRAM and the write path so every counter moves.
-        m.warp_read(Cycle(0), &mut l1, &[1, 2, 3, 300], &mut np());
-        m.warp_read(Cycle(50), &mut l1, &[1, 2], &mut np());
+        m.warp_read(Cycle(0), SmxId(0), &[1, 2, 3, 300], &mut np());
+        m.warp_read(Cycle(50), SmxId(0), &[1, 2], &mut np());
         m.warp_write(Cycle(60), 77, &mut np());
 
         let mut w = ByteWriter::new();
+        m.encode_l1(SmxId(0), &mut w);
         m.encode_state(&mut w);
-        l1.encode_state(&mut w);
         let bytes = w.into_bytes();
 
-        let mut m2 = MemSystem::new(&cfg);
+        let mut m2 = MemSystem::new(&cfg, 1);
         let mut r = ByteReader::new(&bytes);
+        m2.decode_l1(SmxId(0), &mut r).unwrap();
         m2.decode_state(&mut r).unwrap();
-        let mut l1b = SmxL1::decode_state(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(m2.stats(), m.stats());
         assert_eq!(m2.dram_row_hit_rate(), m.dram_row_hit_rate());
         // Continuing both from the same point must agree cycle-for-cycle.
         for (t, lines) in [(100u64, [1u64, 4]), (200, [300, 301]), (300, [1, 300])] {
-            let a = m.warp_read(Cycle(t), &mut l1, &lines, &mut np());
-            let b = m2.warp_read(Cycle(t), &mut l1b, &lines, &mut np());
+            let a = m.warp_read(Cycle(t), SmxId(0), &lines, &mut np());
+            let b = m2.warp_read(Cycle(t), SmxId(0), &lines, &mut np());
             assert_eq!(a, b, "t={t}");
         }
         assert_eq!(m2.stats(), m.stats());
@@ -597,13 +518,13 @@ mod tests {
     #[test]
     fn decode_rejects_wrong_partition_count() {
         let mut w = ByteWriter::new();
-        MemSystem::new(&small_cfg()).encode_state(&mut w);
+        MemSystem::new(&small_cfg(), 1).encode_state(&mut w);
         let bytes = w.into_bytes();
         let other_cfg = MemConfig {
             l2_partitions: small_cfg().l2_partitions * 2,
             ..small_cfg()
         };
-        let mut other = MemSystem::new(&other_cfg);
+        let mut other = MemSystem::new(&other_cfg, 1);
         let mut r = ByteReader::new(&bytes);
         assert!(other.decode_state(&mut r).is_err());
     }
@@ -661,12 +582,10 @@ mod mshr_tests {
         };
         // A storm of distinct lines (all misses) from one SMX.
         let lines: Vec<u64> = (0..64).collect();
-        let mut m_tight = MemSystem::new(&tight);
-        let mut l1_tight = SmxL1::new(&tight);
-        let mut m_loose = MemSystem::new(&loose);
-        let mut l1_loose = SmxL1::new(&loose);
-        let t_tight = m_tight.warp_read(Cycle(0), &mut l1_tight, &lines, &mut np());
-        let t_loose = m_loose.warp_read(Cycle(0), &mut l1_loose, &lines, &mut np());
+        let mut m_tight = MemSystem::new(&tight, 1);
+        let mut m_loose = MemSystem::new(&loose, 1);
+        let t_tight = m_tight.warp_read(Cycle(0), SmxId(0), &lines, &mut np());
+        let t_loose = m_loose.warp_read(Cycle(0), SmxId(0), &lines, &mut np());
         assert!(
             t_tight > t_loose,
             "2 MSHRs ({t_tight:?}) must be slower than 64 ({t_loose:?})"
@@ -681,12 +600,11 @@ mod mshr_tests {
             l1_mshrs: 1,
             ..MemConfig::default()
         };
-        let mut m = MemSystem::new(&cfg);
-        let mut l1 = SmxL1::new(&cfg);
-        m.warp_read(Cycle(0), &mut l1, &[7], &mut np()); // miss fills L1
+        let mut m = MemSystem::new(&cfg, 1);
+        m.warp_read(Cycle(0), SmxId(0), &[7], &mut np()); // miss fills L1
         let before = m.stats().mshr_stalls;
         for i in 0..10 {
-            m.warp_read(Cycle(100_000 + i), &mut l1, &[7], &mut np()); // all hits
+            m.warp_read(Cycle(100_000 + i), SmxId(0), &[7], &mut np()); // all hits
         }
         assert_eq!(m.stats().mshr_stalls, before);
     }

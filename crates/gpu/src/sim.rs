@@ -28,9 +28,8 @@ use crate::ids::{KernelId, SmxId, StreamId};
 use crate::kernel::{AggCta, CtaDirectory, DpParams, KernelKind, KernelRt, SpecTable};
 use crate::mem::{coalesce_lines_parts, MemSystem};
 use crate::profile as ph;
-use crate::shard::SmxShard;
 use crate::snap::{get_opt_cycle, put_opt_cycle};
-use crate::smx::{CtaRt, WarpRt};
+use crate::smx::{CtaRt, Smx, WarpRt};
 use crate::stats::{KernelRole, KernelSummary, SimReport, TimelineSample};
 use crate::telemetry::SimSeries;
 use crate::trace::{Trace, TraceEvent};
@@ -253,8 +252,8 @@ const POOL_CAP: usize = 1024;
 
 /// Configures and seals a [`Simulation`].
 ///
-/// The builder is the only way to construct a simulation: pick the
-/// hardware [`config`](SimulationBuilder::config), plug in a
+/// The builder is the only way to construct a simulation: start from
+/// the hardware configuration, plug in a
 /// [`controller`](SimulationBuilder::controller) (default:
 /// [`InlineAll`]), and opt into observability with
 /// [`trace`](SimulationBuilder::trace) and
@@ -281,7 +280,6 @@ pub struct SimulationBuilder {
     controller: Box<dyn LaunchController>,
     trace_capacity: Option<usize>,
     metrics: MetricsLevel,
-    stream_policy: Option<StreamPolicy>,
     profile: bool,
     snapshot_at: Option<u64>,
     snapshot_meta: Option<Json>,
@@ -297,18 +295,11 @@ impl SimulationBuilder {
             controller: Box::new(InlineAll),
             trace_capacity: None,
             metrics: MetricsLevel::default(),
-            stream_policy: None,
             profile: false,
             snapshot_at: None,
             snapshot_meta: None,
             watch: None,
         }
-    }
-
-    /// Replaces the hardware configuration wholesale.
-    pub fn config(mut self, cfg: GpuConfig) -> Self {
-        self.cfg = cfg;
-        self
     }
 
     /// Installs the launch policy consulted at every device-launch site.
@@ -329,13 +320,6 @@ impl SimulationBuilder {
     /// [`RunArtifact`].
     pub fn metrics(mut self, level: MetricsLevel) -> Self {
         self.metrics = level;
-        self
-    }
-
-    /// Overrides the device-side stream policy without rebuilding the
-    /// whole config.
-    pub fn stream(mut self, policy: StreamPolicy) -> Self {
-        self.stream_policy = Some(policy);
         self
     }
 
@@ -400,11 +384,7 @@ impl SimulationBuilder {
             self.snapshot_at.is_none() || self.trace_capacity.is_none(),
             "snapshots do not support tracing: disable .trace() or .snapshot_at()"
         );
-        let mut cfg = self.cfg;
-        if let Some(p) = self.stream_policy {
-            cfg.stream_policy = p;
-        }
-        let mut sim = Simulation::new(cfg, self.controller);
+        let mut sim = Simulation::new(self.cfg, self.controller);
         sim.trace = self.trace_capacity.map(Trace::new);
         sim.metrics_level = self.metrics;
         if self.metrics.timeseries() {
@@ -491,8 +471,13 @@ pub struct Simulation {
     cfg: GpuConfig,
     events: TimingWheel<Ev>,
     gmu: Gmu,
-    smxs: Vec<SmxShard>,
+    smxs: Vec<Smx>,
     mem: MemSystem,
+    /// Coalescing buffer of the round in flight: sequential addresses,
+    /// then the merged lines.
+    addr_buf: Vec<u64>,
+    /// Merge target for the two-block coalescer.
+    scratch_buf: Vec<u64>,
     kernels: Vec<KernelRt>,
     controller: Box<dyn LaunchController>,
     now: Cycle,
@@ -584,9 +569,9 @@ impl Simulation {
     fn new(cfg: GpuConfig, controller: Box<dyn LaunchController>) -> Self {
         cfg.validate().expect("invalid GPU configuration");
         let smxs = (0..cfg.smx_count)
-            .map(|i| SmxShard::new(SmxId(i as u8), &cfg))
+            .map(|i| Smx::new(SmxId(i as u8), &cfg))
             .collect();
-        let mem = MemSystem::new(&cfg.mem);
+        let mem = MemSystem::new(&cfg.mem, cfg.smx_count as usize);
         let gmu = Gmu::new(cfg.num_hwqs);
         Simulation {
             cfg,
@@ -594,6 +579,8 @@ impl Simulation {
             gmu,
             smxs,
             mem,
+            addr_buf: Vec::with_capacity(128),
+            scratch_buf: Vec::with_capacity(128),
             kernels: Vec::new(),
             controller,
             now: Cycle::ZERO,
@@ -757,12 +744,7 @@ impl Simulation {
         // holding exactly the queue-pop and loop overhead and the
         // phases sum to the loop's wall time (coverage ≈ 1).
         self.prof.enter(ph::SCHED);
-        // An armed snapshot runs the loop's prefix up to the capture
-        // point (between whole events), then the plain loop finishes.
-        let finished = self.snapshot_at.is_some() && self.run_seq_to_snapshot();
-        if !finished {
-            self.run_loop_seq();
-        }
+        self.run_loop();
         self.prof.exit();
         assert!(
             self.live_kernels == 0,
@@ -773,44 +755,21 @@ impl Simulation {
         self.wall_ms = started.elapsed().as_secs_f64() * 1e3;
     }
 
-    /// The sequential loop with a snapshot trigger: once every event at
-    /// time ≤ `snapshot_at` has been handled, captures the container and
-    /// disarms. Returns `true` when the run finished *before* reaching
-    /// the snapshot cycle (no snapshot is captured then — the caller
-    /// gets a complete run and `RunOutcome::snapshot` stays `None`).
-    fn run_seq_to_snapshot(&mut self) -> bool {
-        let at = self.snapshot_at.expect("armed");
+    /// The event loop: pops events in time order until no kernel is
+    /// live. An armed snapshot is captured between whole events, once
+    /// every event at time ≤ `snapshot_at` has been handled; if the run
+    /// finishes first, no snapshot is captured and
+    /// `RunOutcome::snapshot` stays `None`.
+    fn run_loop(&mut self) {
         loop {
             self.peak_queue_depth = self.peak_queue_depth.max(self.events.len() as u64);
-            match self.events.peek_time() {
-                Some(t) if t > at => {
+            if let Some(at) = self.snapshot_at {
+                if self.events.peek_time().is_some_and(|t| t > at) {
                     self.capture_snapshot();
                     self.snapshot_at = None;
                     self.replay = None;
-                    return false;
                 }
-                Some(_) => {}
-                None => return true,
             }
-            let (t, ev) = self.events.pop().expect("peeked event");
-            assert!(
-                t.as_u64() <= self.cfg.max_cycles,
-                "simulation exceeded max_cycles={} (stall or runaway workload)",
-                self.cfg.max_cycles
-            );
-            debug_assert!(t >= self.now, "event time went backwards");
-            self.now = t;
-            self.events_global += 1;
-            self.handle(t, ev);
-            if self.live_kernels == 0 {
-                return true;
-            }
-        }
-    }
-
-    fn run_loop_seq(&mut self) {
-        loop {
-            self.peak_queue_depth = self.peak_queue_depth.max(self.events.len() as u64);
             let Some((t, ev)) = self.events.pop() else { break };
             assert!(
                 t.as_u64() <= self.cfg.max_cycles,
@@ -880,8 +839,11 @@ impl Simulation {
         }
         self.gmu.encode_state(w);
         w.put_len(self.smxs.len());
-        for shard in &mut self.smxs {
-            shard.encode_state(w);
+        // Per SMX: its state, its L1, then its local-event count.
+        for smx in &mut self.smxs {
+            smx.encode_state(w);
+            self.mem.encode_l1(smx.id, w);
+            w.put_u64(smx.events_local);
         }
         self.mem.encode_state(w);
         w.put_len(self.kernels.len());
@@ -1016,8 +978,10 @@ impl Simulation {
         if n != self.smxs.len() {
             return Err(SnapError::Invalid("SMX count differs from configuration"));
         }
-        for shard in &mut self.smxs {
-            shard.decode_state(r)?;
+        for smx in &mut self.smxs {
+            smx.decode_state(r)?;
+            self.mem.decode_l1(smx.id, r)?;
+            smx.events_local = r.get_u64()?;
         }
         self.mem.decode_state(r)?;
         let n = r.get_len()?;
@@ -1734,8 +1698,8 @@ impl Simulation {
     /// Executes one round of a started warp.
     fn run_round(&mut self, now: Cycle, si: usize, slot: u32) {
         self.prof.enter(ph::ROUND);
-        let mut addrs = std::mem::take(&mut self.smxs[si].addr_buf);
-        let mut scratch = std::mem::take(&mut self.smxs[si].scratch_buf);
+        let addrs = &mut self.addr_buf;
+        let scratch = &mut self.scratch_buf;
         addrs.clear();
         scratch.clear();
         self.prof.enter(ph::COALESCE);
@@ -1769,7 +1733,7 @@ impl Simulation {
                 }
             }
             let seq_len = addrs.len();
-            addrs.extend_from_slice(&scratch);
+            addrs.extend_from_slice(scratch);
             let write_line = if class.writes_per_item > 0 && class.rand_region_bytes > 0 {
                 first_seed.map(|s| {
                     class.rand_addr(s ^ 0x5757_5757, r, 0)
@@ -1780,22 +1744,19 @@ impl Simulation {
             };
             (class.compute_per_item as u64, active, write_line, w.is_child_work, seq_len)
         };
-        coalesce_lines_parts(&mut addrs, seq_len, &mut scratch, self.cfg.mem.line_bytes);
+        coalesce_lines_parts(addrs, seq_len, scratch, self.cfg.mem.line_bytes);
         self.prof.exit(); // coalesce
-        self.smxs[si].scratch_buf = scratch;
         self.prof.enter(ph::CACHE);
-        let mem_done = if addrs.is_empty() {
+        let mem_done = if self.addr_buf.is_empty() {
             now
         } else {
-            self.mem
-                .warp_read(now, &mut self.smxs[si].l1, &addrs, &mut self.prof)
+            let smx = self.smxs[si].id;
+            self.mem.warp_read(now, smx, &self.addr_buf, &mut self.prof)
         };
         if let Some(line) = write_line {
             self.mem.warp_write(now, line, &mut self.prof);
         }
         self.prof.exit(); // cache
-        addrs.clear();
-        self.smxs[si].addr_buf = addrs;
         self.finish_round(now, si, slot, compute, active, is_child, mem_done);
         self.prof.exit(); // round
     }

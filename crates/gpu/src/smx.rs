@@ -126,6 +126,8 @@ pub(crate) struct Smx {
     pub warps_launched: u64,
     /// High-water mark of resident warps.
     pub peak_resident_warps: u32,
+    /// Local wakeups drained by this SMX (summed into the report).
+    pub events_local: u64,
 }
 
 impl Smx {
@@ -157,6 +159,7 @@ impl Smx {
             ctas_executed: 0,
             warps_launched: 0,
             peak_resident_warps: 0,
+            events_local: 0,
         }
     }
 

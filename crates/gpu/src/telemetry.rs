@@ -20,7 +20,7 @@ use dynapar_engine::timeseries::TimeSeries;
 
 use crate::config::GpuConfig;
 use crate::controller::{LaunchDecision, MonitoredMetrics};
-use crate::shard::SmxShard;
+use crate::smx::Smx;
 
 /// Schema tag of the artifact's `timeseries` section.
 pub const TIMESERIES_SCHEMA: &str = "dynapar-timeseries/1";
@@ -89,7 +89,7 @@ impl SimSeries {
         queue_depth: f64,
         hwq_utilization: f64,
         monitored: Option<MonitoredMetrics>,
-        smxs: &[SmxShard],
+        smxs: &[Smx],
     ) {
         self.queue_depth.record(now, queue_depth);
         self.hwq_utilization.record(now, hwq_utilization);

@@ -266,8 +266,9 @@ pub struct Registry {
     store: Option<PathBuf>,
     /// Byte budget for the persisted store. When the total size of
     /// persisted artifacts exceeds this, least-recently-used entries
-    /// are deleted from disk (the in-memory memo keeps them for this
-    /// process; after a restart their configs simply re-execute).
+    /// are deleted from disk. Entries evicted at preload never enter
+    /// the memo; ones evicted later stay in it for this process (after
+    /// a restart their configs simply re-execute).
     store_max_bytes: Option<u64>,
     /// Structured sink for store lifecycle events (preload, persist
     /// failures, evictions). Disabled by default; the daemon threads
@@ -331,7 +332,9 @@ impl Registry {
     }
 
     /// Scans the store directory and fills the memo cache from every
-    /// well-formed `<hash:016x>.json` artifact. Unparseable or
+    /// well-formed `<hash:016x>.json` artifact that fits the store cap.
+    /// The cap is applied before entries enter the memo, so an entry
+    /// evicted here re-executes on its next submit. Unparseable or
     /// misnamed files are skipped with a warning — a corrupt entry must
     /// not take the daemon down. Returns the number loaded.
     fn preload(&self) -> std::io::Result<usize> {
@@ -358,7 +361,7 @@ impl Registry {
         // Oldest files first, so the restarted daemon's LRU order
         // matches the previous run's write order.
         found.sort_by_key(|&(_, _, _, mtime)| mtime);
-        let mut loaded = 0;
+        let mut parsed = Vec::with_capacity(found.len());
         for (hash, path, size, _) in found {
             let artifact = std::fs::read_to_string(&path)
                 .map_err(|e| e.to_string())
@@ -366,9 +369,8 @@ impl Registry {
             match artifact {
                 Ok(artifact) => {
                     let mut g = self.inner.lock().expect("registry poisoned");
-                    g.memo.insert(hash, Arc::new(artifact));
                     g.store_lru.record(hash, size);
-                    loaded += 1;
+                    parsed.push((hash, artifact));
                 }
                 Err(err) => {
                     eprintln!(
@@ -386,6 +388,17 @@ impl Registry {
             }
         }
         self.evict_over_budget();
+        let mut loaded = 0;
+        {
+            let mut g = self.inner.lock().expect("registry poisoned");
+            // Entries the cap just evicted stay out of the memo.
+            for (hash, artifact) in parsed {
+                if g.store_lru.entries.contains_key(&hash) {
+                    g.memo.insert(hash, Arc::new(artifact));
+                    loaded += 1;
+                }
+            }
+        }
         let bytes = self.store_bytes();
         self.log.info(
             "store_preload",
@@ -431,9 +444,10 @@ impl Registry {
     }
 
     /// Deletes least-recently-used persisted entries until the store
-    /// fits `--store-max-bytes`. The cap is a disk budget: the
-    /// in-memory memo keeps evicted artifacts for this process, but
-    /// after a restart an evicted config re-executes from scratch.
+    /// fits `--store-max-bytes`. After preload the cap is a disk
+    /// budget: the in-memory memo keeps evicted artifacts for this
+    /// process, but after a restart an evicted config re-executes from
+    /// scratch.
     fn evict_over_budget(&self) {
         let (Some(dir), Some(max)) = (&self.store, self.store_max_bytes) else {
             return;
@@ -940,9 +954,9 @@ mod tests {
         assert!(matches!(r2.submit(1), Admission::Cached { .. }));
         drop(r2);
 
-        // Restarting under a tighter cap trims the preloaded store too.
+        // Restarting under a tighter cap trims the preloaded store too,
+        // and an entry evicted at preload is not answered from the memo.
         let r3 = Registry::with_store_capped(&dir, Some(entry_size)).expect("store dir");
-        drop(r3);
         let remaining = std::fs::read_dir(&dir)
             .unwrap()
             .filter(|e| {
@@ -950,6 +964,17 @@ mod tests {
             })
             .count();
         assert_eq!(remaining, 1, "preload enforces the cap");
+        for hash in [1u64, 3, 4] {
+            if exists(hash) {
+                assert!(matches!(r3.submit(hash), Admission::Cached { .. }), "{hash} kept");
+            } else {
+                assert!(
+                    matches!(r3.submit(hash), Admission::Execute { .. }),
+                    "{hash} evicted at preload re-executes"
+                );
+            }
+        }
+        drop(r3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
