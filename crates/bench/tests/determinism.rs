@@ -9,7 +9,7 @@ use dynapar_core::{Dtbl, PolicySpec, SpawnPolicy};
 use dynapar_engine::fnv1a_64;
 use dynapar_engine::par::par_map;
 use dynapar_gpu::{GpuConfig, Json, MetricsLevel, RunArtifact, SimReport};
-use dynapar_server::{GpuPreset, JobRequest, Observation, WorkloadRef};
+use dynapar_server::{GpuPreset, JobRequest, WarmStart, WorkloadRef};
 use dynapar_workloads::{suite, RunOptions, Scale};
 
 /// FNV-1a 64 of `dynapar run --bench AMR --scale tiny --policy spawn
@@ -202,7 +202,7 @@ fn artifact_and_snapshot_bytes_are_pinned() {
     assert_eq!(fnv1a_64(text.as_bytes()), ARTIFACT_FNV, "artifact bytes moved");
     // `--snapshot-at 3000 --snapshot-out F` writes the container as is.
     let armed = job
-        .run_armed(3000, Observation::default())
+        .execute(WarmStart::Armed { cycle: 3000 }, None)
         .expect("AMR tiny runs armed");
     let snap = armed.snapshot.expect("AMR tiny runs past cycle 3000");
     assert_eq!(fnv1a_64(&snap), SNAPSHOT_FNV, "snapshot bytes moved");

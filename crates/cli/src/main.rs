@@ -26,7 +26,7 @@ use dynapar_core::PolicySpec;
 use dynapar_engine::par::par_map;
 use dynapar_gpu::{GpuConfig, MetricsLevel, SimReport};
 use dynapar_server::{
-    Client, GpuPreset, JobRequest, Observation, Server, ServerConfig, SweepRequest, WorkloadRef,
+    Client, GpuPreset, JobRequest, Server, ServerConfig, SweepRequest, WarmStart, WorkloadRef,
     PROTOCOL_VERSION,
 };
 use dynapar_workloads::{suite, Benchmark};
@@ -158,9 +158,9 @@ fn exec(cli: Cli) -> Result<(), String> {
                 let snap =
                     std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
                 println!("# resuming from snapshot {path} ({} bytes)", snap.len());
-                job.run_forked(&snap, Observation::default())?
+                job.execute(WarmStart::Resume { snapshot: &snap }, None)?
             } else if let Some(cycle) = snapshot_at {
-                job.run_armed(*cycle, Observation::default())?
+                job.execute(WarmStart::Armed { cycle: *cycle }, None)?
             } else {
                 job.run(*trace)?
             };
@@ -314,7 +314,7 @@ fn exec(cli: Cli) -> Result<(), String> {
             let warm_snapshot = match fork_warmup {
                 Some(cycle) if jobs.len() > 1 => {
                     let first = jobs[0].1.clone();
-                    let out = first.run_armed(*cycle, Observation::default())?;
+                    let out = first.execute(WarmStart::Armed { cycle: *cycle }, None)?;
                     let snap = out.snapshot.filter(|s| {
                         dynapar_gpu::parse_snapshot(s)
                             .ok()
@@ -342,7 +342,7 @@ fn exec(cli: Cli) -> Result<(), String> {
                 let mut runs = vec![(jobs[0].0, first_report)];
                 runs.extend(par_map(rest, cli.jobs, |(t, job)| {
                     let out = job
-                        .run_forked(&snap, Observation::default())
+                        .execute(WarmStart::Resume { snapshot: &snap }, None)
                         .or_else(|_| job.run(None))
                         .expect("benchmark validated above");
                     (t, out.report)

@@ -60,7 +60,8 @@ fn bad_arguments_print_usage() {
 
 #[test]
 fn spec_subcommand_runs_a_file() {
-    let dir = std::env::temp_dir().join("dynapar-cli-smoke");
+    // Keyed by process id so concurrent suites never share the file.
+    let dir = std::env::temp_dir().join(format!("dynapar-cli-smoke-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join("smoke.spec");
     let items: Vec<String> = (0..256)
@@ -83,6 +84,7 @@ fn spec_subcommand_runs_a_file() {
         ])
         .output()
         .expect("binary runs");
+    std::fs::remove_dir_all(&dir).ok();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).expect("utf8");
     assert!(text.contains("smoke"));

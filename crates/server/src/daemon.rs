@@ -20,12 +20,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dynapar_engine::json::Json;
 use dynapar_engine::log::{Level, Logger};
 use dynapar_engine::par::WorkQueue;
-use dynapar_gpu::{MetricsLevel, WatchSample};
+use dynapar_gpu::{MetricsLevel, WatchHook, WatchSample};
 
 use crate::metrics::{health_response, metrics_response, Gauges, Phase, ServerMetrics};
 use crate::proto::{
@@ -33,8 +33,7 @@ use crate::proto::{
     submit_response, sweep_response, terminal_error, watch_event, Request, MAX_LINE_BYTES,
 };
 use crate::registry::{Admission, JobHandles, JobState, Registry};
-use crate::request::{JobRequest, Observation, CANCEL_SENTINEL};
-use crate::trace::DaemonTrace;
+use crate::request::{JobRequest, WarmStart};
 
 /// How the daemon is brought up.
 #[derive(Debug, Clone)]
@@ -59,9 +58,9 @@ pub struct ServerConfig {
     /// Minimum level written to the log file (`serve --log-level L`,
     /// default `info`; `debug` adds per-connection/request events).
     pub log_level: Level,
-    /// Perfetto trace output (`serve --trace-out F`): job-lifecycle
-    /// spans collected while serving, written as one Trace Event
-    /// Format document when the daemon exits.
+    /// Perfetto trace output (`serve --trace-out F`): the registry's
+    /// job records, rendered as one Trace Event Format document when
+    /// the daemon exits.
     pub trace_out: Option<std::path::PathBuf>,
 }
 
@@ -104,7 +103,6 @@ struct State {
     shutdown: AtomicBool,
     log: Logger,
     metrics: Arc<ServerMetrics>,
-    trace: Option<Arc<DaemonTrace>>,
     trace_out: Option<std::path::PathBuf>,
     workers: usize,
 }
@@ -140,17 +138,14 @@ impl Server {
             None => Logger::disabled(),
         };
         let metrics = Arc::new(ServerMetrics::new());
-        let trace = cfg.trace_out.as_ref().map(|_| Arc::new(DaemonTrace::new()));
-        let registry = Arc::new(match &cfg.store {
-            Some(dir) => {
-                Registry::with_store_capped_logged(dir, cfg.store_max_bytes, log.clone())?
-            }
-            None => Registry::with_logger(log.clone()),
-        });
+        let registry = Arc::new(Registry::open(
+            cfg.store.clone(),
+            cfg.store_max_bytes,
+            log.clone(),
+        )?);
         let exec = Exec {
             registry: registry.clone(),
             metrics: metrics.clone(),
-            trace: trace.clone(),
             log: log.clone(),
         };
         let queue = WorkQueue::new(cfg.workers.max(1), move |task: JobTask| {
@@ -164,7 +159,6 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 log,
                 metrics,
-                trace,
                 trace_out: cfg.trace_out.clone(),
                 workers: cfg.workers.max(1),
             }),
@@ -218,10 +212,11 @@ impl Server {
             "daemon_stop",
             [("uptime_us", Json::U64(self.state.metrics.uptime_us()))],
         );
-        // The session trace is rendered once, on the way out — tracing
-        // costs nothing per request beyond recording the moments.
-        if let (Some(trace), Some(path)) = (&self.state.trace, &self.state.trace_out) {
-            let mut text = trace.to_json().to_string();
+        // The session trace is rendered once, on the way out, from the
+        // registry's job records — tracing records nothing of its own.
+        if let Some(path) = &self.state.trace_out {
+            let records = self.state.registry.records();
+            let mut text = crate::trace::render(&records, self.state.metrics.started()).to_string();
             text.push('\n');
             if let Err(err) = std::fs::write(path, text) {
                 eprintln!(
@@ -252,63 +247,59 @@ fn watch_sample_json(s: &WatchSample) -> Json {
     ])
 }
 
-/// The observation hooks for one run attempt: progress, cancel, and a
-/// watch hook feeding the job's sample ring.
-fn observation(handles: &JobHandles) -> Observation {
-    let ring = handles.samples.clone();
-    Observation {
-        progress: Some(handles.progress.clone()),
-        cancel: Some(handles.cancel.clone()),
-        watch: Some(Arc::new(move |s: WatchSample| {
-            ring.push(watch_sample_json(&s));
-        })),
-    }
-}
+/// The panic payload a run unwinds with once its job's cancel flag is
+/// raised; `run_entry` tells it apart from a real panic by its type.
+struct Cancelled;
 
-/// How one group entry executed, for `run_job`'s bookkeeping.
-enum Ran {
-    Completed,
-    Other,
+/// The one observation hook of a daemon run, called at every sampler
+/// tick: publishes progress, feeds the job's `watch` ring, and unwinds
+/// with [`Cancelled`] once a `cancel` request has raised the flag. The
+/// unwind skips the panic hook, so a cancel prints nothing.
+fn watch_hook(handles: &JobHandles) -> WatchHook {
+    let handles = handles.clone();
+    Arc::new(move |s: WatchSample| {
+        handles.progress.store(s.now, Ordering::Relaxed);
+        handles.samples.push(watch_sample_json(&s));
+        if handles.cancel.load(Ordering::Relaxed) {
+            std::panic::resume_unwind(Box::new(Cancelled));
+        }
+    })
 }
 
 /// Everything a worker needs besides the task itself: the registry it
-/// transitions, plus the observability sinks (latency recorder, trace
-/// collector, structured log). All shared handles, cloned per pool.
+/// transitions, plus the observability sinks (latency recorder,
+/// structured log). All shared handles, cloned per pool.
 struct Exec {
     registry: Arc<Registry>,
     metrics: Arc<ServerMetrics>,
-    trace: Option<Arc<DaemonTrace>>,
     log: Logger,
 }
 
-/// Runs one entry to a terminal registry state. `runner` is the actual
-/// simulation call (cold, armed, or forked+fallback); cancellation
-/// unwinds out of it and is caught here, so one cancelled branch never
-/// takes its group's other entries down.
+/// Runs one entry to a terminal registry state and reports whether it
+/// completed. `runner` is the actual simulation call (cold, armed, or
+/// forked); cancellation unwinds out of it and is caught here, so one
+/// cancelled branch never takes its group's other entries down.
 fn run_entry(
     registry: &Registry,
     id: u64,
     runner: impl FnOnce() -> Result<dynapar_gpu::RunOutcome, String>,
-) -> Ran {
+) -> bool {
     match catch_unwind(AssertUnwindSafe(runner)) {
         Ok(Ok(out)) => match out.artifact {
             Some(artifact) => {
                 registry.complete(id, artifact);
-                return Ran::Completed;
+                return true;
             }
             None => registry.fail(id, "run produced no artifact (metrics level off)".to_string()),
         },
         Ok(Err(e)) => registry.fail(id, e),
-        Err(payload) => {
-            let msg = panic_message(payload.as_ref());
-            if msg.contains(CANCEL_SENTINEL) {
-                registry.finish_cancelled(id);
-            } else {
-                registry.fail(id, format!("worker panic: {msg}"));
-            }
-        }
+        Err(payload) if payload.is::<Cancelled>() => registry.finish_cancelled(id),
+        Err(payload) => registry.fail(
+            id,
+            format!("worker panic: {}", panic_message(payload.as_ref())),
+        ),
     }
-    Ran::Other
+    false
 }
 
 fn run_job(exec: &Exec, task: JobTask) {
@@ -321,50 +312,30 @@ fn run_job(exec: &Exec, task: JobTask) {
     let mut snapshot: Option<Vec<u8>> = None;
     let mut ramp_done = false;
     for (id, req) in entries {
-        let class = req.policy.label();
         let Some(handles) = registry.start(id) else {
-            // Cancelled while queued; the registry already transitioned
-            // it, so only the observers need to hear about the skip.
+            // Cancelled while queued; the registry already ended it.
             exec.log.debug("job_skipped", [("id", Json::U64(id))]);
-            if let Some(trace) = &exec.trace {
-                trace.job_ended(id, "cancelled");
-            }
             continue;
         };
         exec.log.info(
             "job_start",
-            [("id", Json::U64(id)), ("class", Json::str(class.clone()))],
+            [("id", Json::U64(id)), ("class", Json::str(req.policy.label()))],
         );
-        if let Some(trace) = &exec.trace {
-            trace.job_started(id);
-        }
-        if let Some(wait) = registry.queue_wait_us(id) {
-            exec.metrics.record(&class, Phase::QueueWait, wait);
-        }
-        let t0 = std::time::Instant::now();
-        let mut forked_branch = false;
-        if let Some(snap) = snapshot.clone() {
-            // Forked branch: resume from the shared ramp; any
-            // decode/compatibility error falls back to a cold run, so
-            // forking can only cost time, never correctness.
-            let forked = run_entry(registry, id, || {
-                req.run_forked(&snap, observation(&handles))
-            });
-            match forked {
-                Ran::Completed => {
-                    registry.note_forked();
-                    forked_branch = true;
-                }
-                Ran::Other => {}
+        let watch = Some(watch_hook(&handles));
+        if let Some(snap) = &snapshot {
+            // Forked branch: resume from the shared ramp.
+            let start = WarmStart::Resume { snapshot: snap };
+            if run_entry(registry, id, || req.execute(start, watch)) {
+                registry.note_forked(id);
             }
         } else if want_fork && !ramp_done {
             // First startable entry simulates the shared warm-up ramp,
             // armed to capture a snapshot at the fork cycle.
             ramp_done = true;
-            let warmup = fork_warmup.expect("want_fork implies Some");
+            let cycle = fork_warmup.expect("want_fork implies Some");
             let mut captured = None;
             run_entry(registry, id, || {
-                let out = req.run_armed(warmup, observation(&handles))?;
+                let out = req.execute(WarmStart::Armed { cycle }, watch)?;
                 captured = out.snapshot.clone();
                 Ok(out)
             });
@@ -378,54 +349,46 @@ fn run_job(exec: &Exec, task: JobTask) {
                     == Some(true)
             });
         } else {
-            run_entry(registry, id, || req.run_cold(observation(&handles)));
+            run_entry(registry, id, || req.execute(WarmStart::Cold, watch));
         }
-        finish_entry(exec, id, &class, t0, forked_branch);
+        finish_entry(exec, id);
     }
 }
 
-/// Records the terminal observability for one executed entry: latency
-/// histograms, the `job_done`/`job_failed`/`job_cancelled` log event,
-/// and the trace span end. Purely observational — every registry
-/// transition already happened inside `run_entry`.
-fn finish_entry(
-    exec: &Exec,
-    id: u64,
-    class: &str,
-    t0: std::time::Instant,
-    forked_branch: bool,
-) {
-    let execute_us = t0.elapsed().as_micros() as u64;
-    exec.metrics.record(class, Phase::Execute, execute_us);
-    let end_to_end_us = exec.registry.age_us(id);
-    if let Some(e2e) = end_to_end_us {
-        exec.metrics.record(class, Phase::EndToEnd, e2e);
-    }
-    let queue_wait_us = exec.registry.queue_wait_us(id);
-    let snap = exec.registry.snapshot(id);
-    let state = snap.as_ref().map_or(JobState::Failed, |s| s.state);
-    if forked_branch {
-        exec.log.info("fork_branch", [("id", Json::U64(id))]);
-        if let Some(trace) = &exec.trace {
-            trace.job_forked(id);
-        }
-    }
-    if let Some(trace) = &exec.trace {
-        trace.job_ended(id, state.name());
-    }
+/// Records the terminal observability for one executed entry from its
+/// registry record: the queue-wait, execute and end-to-end histograms
+/// and the `job_done`/`job_failed`/`job_cancelled` log event. Purely
+/// observational — every registry transition already happened inside
+/// `run_entry`, which stamped the instants read here.
+fn finish_entry(exec: &Exec, id: u64) {
+    let Some(record) = exec.registry.record(id) else {
+        return;
+    };
+    let (Some(started), Some(ended)) = (record.started_at, record.ended_at) else {
+        return;
+    };
+    let micros = |from: Instant, to: Instant| to.saturating_duration_since(from).as_micros() as u64;
     let mut fields = vec![
         ("id", Json::U64(id)),
-        ("class", Json::str(class)),
-        ("state", Json::str(state.name())),
-        ("queue_wait_us", Json::U64(queue_wait_us.unwrap_or(0))),
-        ("execute_us", Json::U64(execute_us)),
-        ("end_to_end_us", Json::U64(end_to_end_us.unwrap_or(0))),
+        ("class", Json::str(record.class.clone())),
+        ("state", Json::str(record.state.name())),
     ];
-    match state {
+    for (phase, name, us) in [
+        (Phase::QueueWait, "queue_wait_us", micros(record.queued_at, started)),
+        (Phase::Execute, "execute_us", micros(started, ended)),
+        (Phase::EndToEnd, "end_to_end_us", micros(record.queued_at, ended)),
+    ] {
+        exec.metrics.record(&record.class, phase, us);
+        fields.push((name, Json::U64(us)));
+    }
+    if record.forked {
+        exec.log.info("fork_branch", [("id", Json::U64(id))]);
+    }
+    match record.state {
         JobState::Done => exec.log.info("job_done", fields),
         JobState::Cancelled => exec.log.info("job_cancelled", fields),
         _ => {
-            if let Some(err) = snap.as_ref().and_then(|s| s.error.clone()) {
+            if let Some(err) = exec.registry.snapshot(id).and_then(|s| s.error) {
                 fields.push(("error", Json::str(err)));
             }
             exec.log.error("job_failed", fields);
@@ -514,8 +477,8 @@ fn admit(
     }
     let class = job.policy.label();
     let hash = job.canonical_hash();
-    let t0 = std::time::Instant::now();
-    let admission = state.registry.submit(hash);
+    let t0 = Instant::now();
+    let admission = state.registry.submit(hash, &class);
     state.metrics.record(
         &class,
         Phase::MemoLookup,
@@ -533,9 +496,6 @@ fn admit(
                     ("class", Json::str(class)),
                 ],
             );
-            if let Some(trace) = &state.trace {
-                trace.job_queued(id, &job.policy.label());
-            }
             Some((id, job))
         }
         Admission::Cached { id } => {
@@ -547,9 +507,6 @@ fn admit(
                     ("class", Json::str(class)),
                 ],
             );
-            if let Some(trace) = &state.trace {
-                trace.memo_hit(id, hash);
-            }
             None
         }
         Admission::Coalesced { id, primary } => {
@@ -557,9 +514,6 @@ fn admit(
                 "coalesced",
                 [("id", Json::U64(id)), ("primary", Json::U64(primary))],
             );
-            if let Some(trace) = &state.trace {
-                trace.coalesced(id, primary);
-            }
             None
         }
     };
@@ -774,5 +728,54 @@ fn stream_watch(state: &State, writer: &mut TcpStream, id: u64) -> bool {
         if state.shutdown.load(Ordering::SeqCst) {
             return send(writer, &error_response("daemon is shutting down"));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::{GpuPreset, WorkloadRef};
+    use dynapar_core::PolicySpec;
+    use dynapar_workloads::Scale;
+
+    fn tiny_req() -> JobRequest {
+        JobRequest {
+            workload: WorkloadRef::Suite {
+                bench: "AMR".into(),
+                scale: Scale::Tiny,
+            },
+            policy: PolicySpec::Spawn,
+            seed: 7,
+            metrics: MetricsLevel::Full,
+            gpu: GpuPreset::KeplerK20m,
+        }
+    }
+
+    #[test]
+    fn watch_hook_is_byte_invisible() {
+        let req = tiny_req();
+        let plain = req.run(None).expect("plain").artifact.expect("artifact");
+        let handles = JobHandles::default();
+        let out = req
+            .execute(WarmStart::Cold, Some(watch_hook(&handles)))
+            .expect("watched");
+        assert_eq!(plain.to_string(), out.artifact.expect("artifact").to_string());
+        assert!(handles.progress.load(Ordering::Relaxed) > 0, "hook saw progress");
+        assert!(!handles.samples.drain().is_empty(), "hook fed the watch ring");
+    }
+
+    #[test]
+    fn raised_cancel_flag_unwinds_the_run_to_cancelled() {
+        let registry = Registry::new();
+        let id = registry.submit(1, "spawn").id();
+        let handles = registry.start(id).expect("queued");
+        assert_eq!(registry.cancel(id), Some(JobState::Running));
+        let completed = run_entry(&registry, id, || {
+            tiny_req().execute(WarmStart::Cold, Some(watch_hook(&handles)))
+        });
+        assert!(!completed);
+        let snap = registry.snapshot(id).expect("known");
+        assert_eq!(snap.state, JobState::Cancelled, "error: {:?}", snap.error);
+        assert_eq!(registry.stats().cancelled, 1);
     }
 }

@@ -11,16 +11,18 @@
 //!   CLI and the daemon execute through (this is what guarantees a
 //!   `dynapar run` and a server `submit` with equal configs produce
 //!   byte-identical artifacts), plus [`SweepRequest`] for policy sweeps;
-//! * [`registry`] — the shared job table: states, memoization,
-//!   in-flight coalescing, FIFO fairness, lifetime stats;
+//! * [`registry`] — the shared job table: one lifecycle record per job
+//!   (states and their instants), memoization, in-flight coalescing,
+//!   FIFO fairness, lifetime stats;
 //! * [`proto`] — the frozen v1 line-JSON wire protocol
 //!   (`submit`/`status`/`result`/`watch`/`cancel`/`sweep`/`stats`/
 //!   `metrics`/`health`/`shutdown`);
 //! * [`metrics`] — service-level telemetry: per-class latency
 //!   histograms (queue-wait / execute / end-to-end / memo-lookup) and
 //!   live gauges, rendered as JSON and Prometheus exposition text;
-//! * [`trace`] — the daemon-level Perfetto trace collector
-//!   (`serve --trace-out F`): one span per job, memo hits as instants;
+//! * [`trace`] — the daemon-level Perfetto trace (`serve --trace-out
+//!   F`), a pure rendering of the registry's job records: one span per
+//!   executed job, memo hits as instants;
 //! * [`daemon`] — the TCP accept loop, connection handlers and the
 //!   [`WorkQueue`](dynapar_engine::par::WorkQueue)-backed executor;
 //! * [`client`] — a minimal blocking client (what `dynapar submit` and
@@ -81,7 +83,6 @@ pub use metrics::{
 };
 pub use proto::{Request, MAX_LINE_BYTES, PROTOCOL_VERSION};
 pub use registry::{
-    Admission, JobHandles, JobSnapshot, JobState, Registry, RegistryStats, SampleRing,
+    Admission, JobHandles, JobRecord, JobSnapshot, JobState, Registry, RegistryStats, SampleRing,
 };
-pub use request::{GpuPreset, JobRequest, Observation, SweepRequest, WorkloadRef};
-pub use trace::DaemonTrace;
+pub use request::{GpuPreset, JobRequest, SweepRequest, WarmStart, WorkloadRef};

@@ -127,6 +127,12 @@ impl ServerMetrics {
             .record(us);
     }
 
+    /// When the daemon's metrics started: the origin of uptime and of
+    /// the daemon trace's timestamps.
+    pub fn started(&self) -> Instant {
+        self.started
+    }
+
     /// Microseconds since the daemon's metrics started.
     pub fn uptime_us(&self) -> u64 {
         self.started.elapsed().as_micros() as u64

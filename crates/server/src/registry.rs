@@ -1,5 +1,6 @@
-//! The daemon's resumable job registry: per-job state, config-hash
-//! memoization, in-flight coalescing, and lifetime statistics.
+//! The daemon's resumable job registry: per-job lifecycle records,
+//! config-hash memoization, in-flight coalescing, and lifetime
+//! statistics.
 //!
 //! The registry is the single source of truth the worker pool and every
 //! client connection share. Its invariants:
@@ -12,7 +13,9 @@
 //!   captures, pinned by the determinism suite).
 //! * **Coalescing** — while a job with hash `h` is queued or running,
 //!   further submits of `h` do not enqueue duplicate work; they become
-//!   *followers* that complete (or fail) together with the primary.
+//!   *followers* that complete (or fail) together with the primary. The
+//!   followers are kept with the primary's in-flight entry, so a
+//!   terminal transition touches only that group.
 //! * **FIFO fairness** — primaries execute in submission order
 //!   regardless of which client connection submitted them (the worker
 //!   queue underneath is FIFO).
@@ -132,43 +135,111 @@ impl SampleRing {
     }
 }
 
-/// Observation handles a worker gets when it starts a job: progress
+/// The handles a worker gets when it starts a job: progress
 /// counter, cancellation flag, and the watch-sample ring.
+#[derive(Clone, Default)]
 pub struct JobHandles {
-    /// Latest simulated cycle, stored by the in-run progress tap.
+    /// Latest simulated cycle, stored by the run's watch hook.
     pub progress: Arc<AtomicU64>,
-    /// Raised by `cancel` requests; the run unwinds at its next check.
+    /// Raised by `cancel` requests; the run unwinds at its next sampler
+    /// tick.
     pub cancel: Arc<AtomicBool>,
     /// Ring the run's watch hook feeds for `watch` streaming.
     pub samples: SampleRing,
 }
 
+/// One job's lifecycle record: how it was admitted and when it moved.
+/// The registry keeps the only copy; the daemon's trace and latency
+/// histograms are views of it. Host time only — simulations never read
+/// it, so determinism is untouched.
+#[derive(Debug, Clone)]
+pub struct JobRecord {
+    /// How the submit was admitted (carries the job id).
+    pub admission: Admission,
+    /// Canonical config hash.
+    pub hash: u64,
+    /// Job class: the policy label.
+    pub class: String,
+    /// Current state.
+    pub state: JobState,
+    /// Whether the job resumed a shared fork-sweep warm-up snapshot.
+    pub forked: bool,
+    /// Admission instant.
+    pub queued_at: Instant,
+    /// Worker pickup, once running.
+    pub started_at: Option<Instant>,
+    /// Terminal transition, once terminal.
+    pub ended_at: Option<Instant>,
+}
+
 struct Job {
-    state: JobState,
-    hash: u64,
-    cached: bool,
+    record: JobRecord,
     error: Option<String>,
     artifact: Option<Arc<RunArtifact>>,
-    progress: Arc<AtomicU64>,
-    cancel: Arc<AtomicBool>,
-    samples: SampleRing,
-    /// Host-time admission instant, for queue-wait / end-to-end
-    /// latency telemetry (never read by simulations — determinism is
-    /// untouched).
-    queued_at: Instant,
-    /// Host-time worker pickup instant, once running.
-    started_at: Option<Instant>,
+    handles: JobHandles,
+}
+
+impl Job {
+    fn snapshot(&self) -> JobSnapshot {
+        JobSnapshot {
+            id: self.record.admission.id(),
+            state: self.record.state,
+            hash: self.record.hash,
+            cached: self.record.admission.cached(),
+            progress_cycles: self.handles.progress.load(Ordering::Relaxed),
+            error: self.error.clone(),
+            artifact: self.artifact.clone(),
+        }
+    }
 }
 
 #[derive(Default)]
 struct Inner {
-    jobs: HashMap<u64, Job>,
+    /// Every job ever admitted, indexed by id.
+    jobs: Vec<Job>,
     memo: HashMap<u64, Arc<RunArtifact>>,
-    /// hash → primary job id, while that primary is queued/running.
-    inflight: HashMap<u64, u64>,
-    next_id: u64,
+    /// hash → the in-flight group while its primary is queued or
+    /// running: the primary's id first, then its followers'.
+    inflight: HashMap<u64, Vec<u64>>,
     stats: RegistryStats,
     store_lru: StoreLru,
+}
+
+impl Inner {
+    fn job(&self, id: u64) -> Option<&Job> {
+        self.jobs.get(usize::try_from(id).ok()?)
+    }
+
+    fn job_mut(&mut self, id: u64) -> Option<&mut Job> {
+        self.jobs.get_mut(usize::try_from(id).ok()?)
+    }
+
+    /// Moves job `id` to the terminal `state` — with its followers when
+    /// it leads an in-flight group, which then leaves the table — and
+    /// stamps one `ended_at` on every job that moved. `each` fills in
+    /// the outcome per job. Touches only that group, never the whole
+    /// job table. Returns how many jobs moved.
+    fn end_group(&mut self, id: u64, state: JobState, mut each: impl FnMut(&mut Job)) -> u64 {
+        let Some(hash) = self.job(id).map(|job| job.record.hash) else {
+            return 0;
+        };
+        let group = match self.inflight.get(&hash) {
+            Some(group) if group[0] == id => self.inflight.remove(&hash).unwrap_or_default(),
+            _ => vec![id],
+        };
+        let now = Instant::now();
+        let mut moved = 0;
+        for member in group {
+            let Some(job) = self.job_mut(member) else { continue };
+            if !job.record.state.is_terminal() {
+                job.record.state = state;
+                job.record.ended_at = Some(now);
+                each(job);
+                moved += 1;
+            }
+        }
+        moved
+    }
 }
 
 /// Disk-budget accounting for the artifact store: per-entry file sizes
@@ -282,53 +353,36 @@ impl Registry {
         Self::default()
     }
 
-    /// A registry backed by an on-disk artifact store. Creates `dir` if
-    /// missing and preloads every previously persisted artifact into
-    /// the memo cache, so a restarted daemon answers repeat submits
-    /// from cache without re-simulating.
-    pub fn with_store(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        Self::with_store_capped(dir, None)
-    }
-
-    /// An empty registry whose lifecycle events go to `log` (the
-    /// daemon's `--log-file` sink).
-    pub fn with_logger(log: Logger) -> Self {
-        Registry {
-            log,
-            ..Registry::default()
+    /// A registry whose lifecycle events go to `log` (the daemon's
+    /// `--log-file` sink), optionally backed by an on-disk artifact
+    /// store in `dir`. With a store, `dir` is created if missing and
+    /// every previously persisted artifact is preloaded into the memo
+    /// cache, so a restarted daemon answers repeat submits from cache
+    /// without re-simulating. `max_bytes` caps the persisted store
+    /// (`dynapar serve --store-max-bytes N`): whenever the persisted
+    /// total exceeds it — at preload and after each new artifact —
+    /// least-recently-used entries are deleted from disk until the
+    /// store fits.
+    ///
+    /// # Errors
+    ///
+    /// Creating or scanning the store directory.
+    pub fn open(dir: Option<PathBuf>, max_bytes: Option<u64>, log: Logger) -> std::io::Result<Self> {
+        if let Some(dir) = &dir {
+            std::fs::create_dir_all(dir)?;
         }
-    }
-
-    /// [`with_store`](Registry::with_store) plus an optional byte cap
-    /// on the persisted store (`dynapar serve --store-max-bytes N`).
-    /// Whenever the persisted total exceeds the cap — at preload and
-    /// after each new artifact — least-recently-used entries are
-    /// deleted from disk until the store fits.
-    pub fn with_store_capped(
-        dir: impl Into<PathBuf>,
-        max_bytes: Option<u64>,
-    ) -> std::io::Result<Self> {
-        Self::with_store_capped_logged(dir, max_bytes, Logger::disabled())
-    }
-
-    /// [`with_store_capped`](Registry::with_store_capped) with a
-    /// structured logger attached before preload runs, so store
-    /// preload/corruption/eviction events land in the daemon log.
-    pub fn with_store_capped_logged(
-        dir: impl Into<PathBuf>,
-        max_bytes: Option<u64>,
-        log: Logger,
-    ) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
         let registry = Registry {
-            store: Some(dir),
+            store: dir,
             store_max_bytes: max_bytes,
             log,
             ..Registry::default()
         };
         registry.preload()?;
         Ok(registry)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("registry poisoned")
     }
 
     /// Scans the store directory and fills the memo cache from every
@@ -368,7 +422,7 @@ impl Registry {
                 .and_then(|text| RunArtifact::parse(&text).map_err(|e| e.to_string()));
             match artifact {
                 Ok(artifact) => {
-                    let mut g = self.inner.lock().expect("registry poisoned");
+                    let mut g = self.lock();
                     g.store_lru.record(hash, size);
                     parsed.push((hash, artifact));
                 }
@@ -390,7 +444,7 @@ impl Registry {
         self.evict_over_budget();
         let mut loaded = 0;
         {
-            let mut g = self.inner.lock().expect("registry poisoned");
+            let mut g = self.lock();
             // Entries the cap just evicted stay out of the memo.
             for (hash, artifact) in parsed {
                 if g.store_lru.entries.contains_key(&hash) {
@@ -423,11 +477,7 @@ impl Registry {
         let written = std::fs::write(&tmp, &text).and_then(|()| std::fs::rename(&tmp, &path));
         match written {
             Ok(()) => {
-                self.inner
-                    .lock()
-                    .expect("registry poisoned")
-                    .store_lru
-                    .record(hash, size);
+                self.lock().store_lru.record(hash, size);
                 self.evict_over_budget();
             }
             Err(err) => {
@@ -454,7 +504,7 @@ impl Registry {
         };
         loop {
             let (hash, size) = {
-                let mut g = self.inner.lock().expect("registry poisoned");
+                let mut g = self.lock();
                 if g.store_lru.total <= max {
                     return;
                 }
@@ -492,43 +542,50 @@ impl Registry {
         }
     }
 
-    /// Admits one job with canonical hash `hash`. Decides between the
-    /// three admission paths (execute / memo hit / coalesce); the
-    /// caller enqueues worker-side execution only for
-    /// [`Admission::Execute`].
-    pub fn submit(&self, hash: u64) -> Admission {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        g.stats.submitted += 1;
-        let id = g.next_id;
-        g.next_id += 1;
+    /// Admits one job with canonical hash `hash` and job class `class`
+    /// (its policy label). Decides between the three admission paths
+    /// (execute / memo hit / coalesce); the caller enqueues worker-side
+    /// execution only for [`Admission::Execute`].
+    pub fn submit(&self, hash: u64, class: &str) -> Admission {
+        let mut g = self.lock();
+        let inner = &mut *g;
+        inner.stats.submitted += 1;
+        let id = inner.jobs.len() as u64;
+        let now = Instant::now();
         let mut job = Job {
-            state: JobState::Queued,
-            hash,
-            cached: false,
+            record: JobRecord {
+                admission: Admission::Execute { id },
+                hash,
+                class: class.to_string(),
+                state: JobState::Queued,
+                forked: false,
+                queued_at: now,
+                started_at: None,
+                ended_at: None,
+            },
             error: None,
             artifact: None,
-            progress: Arc::new(AtomicU64::new(0)),
-            cancel: Arc::new(AtomicBool::new(false)),
-            samples: SampleRing::default(),
-            queued_at: Instant::now(),
-            started_at: None,
+            handles: JobHandles::default(),
         };
-        let admission = if let Some(artifact) = g.memo.get(&hash).cloned() {
-            g.stats.memo_hits += 1;
-            g.store_lru.touch(hash);
-            job.state = JobState::Done;
-            job.cached = true;
+        if let Some(artifact) = inner.memo.get(&hash).cloned() {
+            inner.stats.memo_hits += 1;
+            inner.store_lru.touch(hash);
+            job.record.admission = Admission::Cached { id };
+            job.record.state = JobState::Done;
+            job.record.ended_at = Some(now);
             job.artifact = Some(artifact);
-            Admission::Cached { id }
-        } else if let Some(&primary) = g.inflight.get(&hash) {
-            g.stats.coalesced += 1;
-            job.cached = true;
-            Admission::Coalesced { id, primary }
+        } else if let Some(group) = inner.inflight.get_mut(&hash) {
+            inner.stats.coalesced += 1;
+            job.record.admission = Admission::Coalesced {
+                id,
+                primary: group[0],
+            };
+            group.push(id);
         } else {
-            g.inflight.insert(hash, id);
-            Admission::Execute { id }
-        };
-        g.jobs.insert(id, job);
+            inner.inflight.insert(hash, vec![id]);
+        }
+        let admission = job.record.admission;
+        inner.jobs.push(job);
         drop(g);
         self.cv.notify_all();
         admission
@@ -538,18 +595,14 @@ impl Registry {
     /// observation handles. Returns `None` if the job was cancelled
     /// while queued — the worker must skip it.
     pub fn start(&self, id: u64) -> Option<JobHandles> {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        let job = g.jobs.get_mut(&id)?;
-        if job.state != JobState::Queued {
+        let mut g = self.lock();
+        let job = g.job_mut(id)?;
+        if job.record.state != JobState::Queued {
             return None;
         }
-        job.state = JobState::Running;
-        job.started_at = Some(Instant::now());
-        let handles = JobHandles {
-            progress: job.progress.clone(),
-            cancel: job.cancel.clone(),
-            samples: job.samples.clone(),
-        };
+        job.record.state = JobState::Running;
+        job.record.started_at = Some(Instant::now());
+        let handles = job.handles.clone();
         drop(g);
         self.cv.notify_all();
         Some(handles)
@@ -558,48 +611,38 @@ impl Registry {
     /// Takes every pending watch sample for job `id`, oldest first
     /// (empty for unknown ids).
     pub fn drain_samples(&self, id: u64) -> Vec<Json> {
-        let ring = {
-            let g = self.inner.lock().expect("registry poisoned");
-            match g.jobs.get(&id) {
-                Some(job) => job.samples.clone(),
-                None => return Vec::new(),
-            }
+        let ring = match self.lock().job(id) {
+            Some(job) => job.handles.samples.clone(),
+            None => return Vec::new(),
         };
         ring.drain()
     }
 
-    /// Records that one sweep point was answered by forking a shared
-    /// warm-up snapshot.
-    pub fn note_forked(&self) {
-        self.inner.lock().expect("registry poisoned").stats.forked += 1;
+    /// Records that job `id`, a sweep point, was answered by forking a
+    /// shared warm-up snapshot: sets its record's flag and bumps the
+    /// `forked` counter.
+    pub fn note_forked(&self, id: u64) {
+        let mut g = self.lock();
+        if let Some(job) = g.job_mut(id) {
+            job.record.forked = true;
+            g.stats.forked += 1;
+        }
     }
 
     /// Records a completed simulation: memoizes the artifact and
     /// completes the primary *and every follower* coalesced onto it.
     pub fn complete(&self, id: u64, artifact: RunArtifact) {
         let artifact = Arc::new(artifact);
-        let hash = {
-            let g = self.inner.lock().expect("registry poisoned");
-            match g.jobs.get(&id) {
-                Some(j) => j.hash,
-                None => return,
-            }
+        let Some(hash) = self.lock().job(id).map(|job| job.record.hash) else {
+            return;
         };
         // Persist before publishing: once a waiter observes `Done`, the
         // store entry (if any) is already in place.
         self.persist(hash, &artifact);
-        let mut g = self.inner.lock().expect("registry poisoned");
+        let mut g = self.lock();
         g.stats.executed += 1;
         g.memo.insert(hash, artifact.clone());
-        if g.inflight.get(&hash) == Some(&id) {
-            g.inflight.remove(&hash);
-        }
-        for job in g.jobs.values_mut() {
-            if job.hash == hash && !job.state.is_terminal() {
-                job.state = JobState::Done;
-                job.artifact = Some(artifact.clone());
-            }
-        }
+        g.end_group(id, JobState::Done, |job| job.artifact = Some(artifact.clone()));
         drop(g);
         self.cv.notify_all();
     }
@@ -608,57 +651,28 @@ impl Registry {
     /// they represent the same run, and re-running a config that just
     /// failed deterministically would fail the same way.
     pub fn fail(&self, id: u64, error: String) {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        let inner = &mut *g;
-        let hash = match inner.jobs.get(&id) {
-            Some(j) => j.hash,
-            None => return,
-        };
-        if inner.inflight.get(&hash) == Some(&id) {
-            inner.inflight.remove(&hash);
-        }
-        for job in inner.jobs.values_mut() {
-            if job.hash == hash && !job.state.is_terminal() {
-                job.state = JobState::Failed;
-                job.error = Some(error.clone());
-                inner.stats.failed += 1;
-            }
-        }
+        let mut g = self.lock();
+        g.stats.failed += g.end_group(id, JobState::Failed, |job| job.error = Some(error.clone()));
         drop(g);
         self.cv.notify_all();
     }
 
     /// Requests cancellation. A queued job (or follower) is cancelled
-    /// immediately; a running job has its cancel flag raised and
-    /// unwinds at its next launch decision. Returns the state after the
-    /// request, or `None` for an unknown id.
+    /// immediately — a queued primary takes its followers with it: they
+    /// are the same run, and nothing else will ever complete them. A
+    /// running job has its cancel flag raised and unwinds at its next
+    /// sampler tick. Returns the state after the request, or `None`
+    /// for an unknown id.
     pub fn cancel(&self, id: u64) -> Option<JobState> {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        let inner = &mut *g;
-        let (state, hash) = {
-            let job = inner.jobs.get(&id)?;
-            (job.state, job.hash)
-        };
-        let state = match state {
+        let mut g = self.lock();
+        let job = g.job(id)?;
+        let state = match job.record.state {
             JobState::Queued => {
-                // A cancelled primary takes its coalesced followers with
-                // it: they are the same run, and nothing else will ever
-                // complete them.
-                let was_primary = inner.inflight.get(&hash) == Some(&id);
-                if was_primary {
-                    inner.inflight.remove(&hash);
-                }
-                for (jid, job) in inner.jobs.iter_mut() {
-                    let member = *jid == id || (was_primary && job.hash == hash);
-                    if member && !job.state.is_terminal() {
-                        job.state = JobState::Cancelled;
-                        inner.stats.cancelled += 1;
-                    }
-                }
+                g.stats.cancelled += g.end_group(id, JobState::Cancelled, |_| {});
                 JobState::Cancelled
             }
             JobState::Running => {
-                inner.jobs[&id].cancel.store(true, Ordering::Relaxed);
+                job.handles.cancel.store(true, Ordering::Relaxed);
                 JobState::Running
             }
             terminal => terminal,
@@ -669,61 +683,40 @@ impl Registry {
     }
 
     /// Marks a job cancelled after its worker unwound on the cancel
-    /// sentinel (the running→cancelled transition).
+    /// flag (the running→cancelled transition), with its followers.
     pub fn finish_cancelled(&self, id: u64) {
-        let mut g = self.inner.lock().expect("registry poisoned");
-        let inner = &mut *g;
-        let hash = match inner.jobs.get(&id) {
-            Some(j) => j.hash,
-            None => return,
-        };
-        if inner.inflight.get(&hash) == Some(&id) {
-            inner.inflight.remove(&hash);
-        }
-        for job in inner.jobs.values_mut() {
-            if job.hash == hash && !job.state.is_terminal() {
-                job.state = JobState::Cancelled;
-                inner.stats.cancelled += 1;
-            }
-        }
+        let mut g = self.lock();
+        g.stats.cancelled += g.end_group(id, JobState::Cancelled, |_| {});
         drop(g);
         self.cv.notify_all();
     }
 
     /// A point-in-time snapshot of one job.
     pub fn snapshot(&self, id: u64) -> Option<JobSnapshot> {
-        let g = self.inner.lock().expect("registry poisoned");
-        g.jobs.get(&id).map(|job| JobSnapshot {
-            id,
-            state: job.state,
-            hash: job.hash,
-            cached: job.cached,
-            progress_cycles: job.progress.load(Ordering::Relaxed),
-            error: job.error.clone(),
-            artifact: job.artifact.clone(),
-        })
+        self.lock().job(id).map(Job::snapshot)
+    }
+
+    /// A copy of job `id`'s lifecycle record.
+    pub fn record(&self, id: u64) -> Option<JobRecord> {
+        self.lock().job(id).map(|job| job.record.clone())
+    }
+
+    /// Copies of every job's lifecycle record, in id order — what the
+    /// daemon's trace renders.
+    pub fn records(&self) -> Vec<JobRecord> {
+        self.lock().jobs.iter().map(|job| job.record.clone()).collect()
     }
 
     /// Blocks until job `id` reaches a terminal state, then returns its
     /// snapshot. Returns `None` for an unknown id.
     pub fn wait_terminal(&self, id: u64) -> Option<JobSnapshot> {
-        let mut g = self.inner.lock().expect("registry poisoned");
+        let mut g = self.lock();
         loop {
-            match g.jobs.get(&id) {
-                None => return None,
-                Some(job) if job.state.is_terminal() => {
-                    return Some(JobSnapshot {
-                        id,
-                        state: job.state,
-                        hash: job.hash,
-                        cached: job.cached,
-                        progress_cycles: job.progress.load(Ordering::Relaxed),
-                        error: job.error.clone(),
-                        artifact: job.artifact.clone(),
-                    });
-                }
-                Some(_) => g = self.cv.wait(g).expect("registry poisoned"),
+            let job = g.job(id)?;
+            if job.record.state.is_terminal() {
+                return Some(job.snapshot());
             }
+            g = self.cv.wait(g).expect("registry poisoned");
         }
     }
 
@@ -732,9 +725,9 @@ impl Registry {
     /// `watch` request) or notice daemon shutdown. Returns the current
     /// snapshot each wake-up.
     pub fn wait_tick(&self, id: u64, tick: std::time::Duration) -> Option<JobSnapshot> {
-        let g = self.inner.lock().expect("registry poisoned");
-        let job = g.jobs.get(&id)?;
-        if !job.state.is_terminal() {
+        let g = self.lock();
+        let job = g.job(id)?;
+        if !job.record.state.is_terminal() {
             let (g2, _timeout) = self
                 .cv
                 .wait_timeout(g, tick)
@@ -748,37 +741,19 @@ impl Registry {
 
     /// Lifetime counters.
     pub fn stats(&self) -> RegistryStats {
-        self.inner.lock().expect("registry poisoned").stats
-    }
-
-    /// Host microseconds job `id` waited between admission and worker
-    /// pickup. `None` for unknown or not-yet-started jobs.
-    pub fn queue_wait_us(&self, id: u64) -> Option<u64> {
-        let g = self.inner.lock().expect("registry poisoned");
-        let job = g.jobs.get(&id)?;
-        let started = job.started_at?;
-        Some(started.duration_since(job.queued_at).as_micros() as u64)
-    }
-
-    /// Host microseconds since job `id` was admitted (end-to-end
-    /// latency when read at the terminal transition). `None` for
-    /// unknown ids.
-    pub fn age_us(&self, id: u64) -> Option<u64> {
-        let g = self.inner.lock().expect("registry poisoned");
-        let job = g.jobs.get(&id)?;
-        Some(job.queued_at.elapsed().as_micros() as u64)
+        self.lock().stats
     }
 
     /// Distinct configs currently queued or running (the in-flight
     /// coalescing table's size) — a live gauge for `metrics`/`stats`.
     pub fn inflight_now(&self) -> usize {
-        self.inner.lock().expect("registry poisoned").inflight.len()
+        self.lock().inflight.len()
     }
 
     /// Bytes currently persisted in the artifact store (0 without a
     /// store) — a live gauge for `metrics`/`stats`.
     pub fn store_bytes(&self) -> u64 {
-        self.inner.lock().expect("registry poisoned").store_lru.total
+        self.lock().store_lru.total
     }
 }
 
@@ -800,11 +775,11 @@ mod tests {
     #[test]
     fn memo_hit_after_complete() {
         let r = Registry::new();
-        let a = r.submit(42);
+        let a = r.submit(42, "flat");
         assert_eq!(a, Admission::Execute { id: 0 });
         r.start(0).expect("queued");
         r.complete(0, fake_artifact());
-        let b = r.submit(42);
+        let b = r.submit(42, "flat");
         assert!(matches!(b, Admission::Cached { .. }));
         let snap = r.snapshot(b.id()).unwrap();
         assert_eq!(snap.state, JobState::Done);
@@ -817,8 +792,8 @@ mod tests {
     #[test]
     fn inflight_submits_coalesce_and_complete_together() {
         let r = Registry::new();
-        let a = r.submit(7);
-        let b = r.submit(7);
+        let a = r.submit(7, "flat");
+        let b = r.submit(7, "flat");
         assert!(matches!(b, Admission::Coalesced { primary: 0, .. }));
         r.start(a.id()).expect("queued");
         r.complete(a.id(), fake_artifact());
@@ -832,8 +807,8 @@ mod tests {
     #[test]
     fn failure_fails_followers_and_clears_inflight() {
         let r = Registry::new();
-        let a = r.submit(9);
-        let b = r.submit(9);
+        let a = r.submit(9, "flat");
+        let b = r.submit(9, "flat");
         r.start(a.id()).expect("queued");
         r.fail(a.id(), "boom".into());
         for id in [a.id(), b.id()] {
@@ -842,13 +817,13 @@ mod tests {
             assert_eq!(snap.error.as_deref(), Some("boom"));
         }
         // The hash is free again: a new submit executes fresh.
-        assert!(matches!(r.submit(9), Admission::Execute { .. }));
+        assert!(matches!(r.submit(9, "flat"), Admission::Execute { .. }));
     }
 
     #[test]
     fn cancel_queued_is_immediate_and_skipped_by_workers() {
         let r = Registry::new();
-        let a = r.submit(1);
+        let a = r.submit(1, "flat");
         assert_eq!(r.cancel(a.id()), Some(JobState::Cancelled));
         assert!(r.start(a.id()).is_none(), "worker must skip");
         assert_eq!(r.stats().cancelled, 1);
@@ -858,7 +833,7 @@ mod tests {
     #[test]
     fn cancel_running_raises_flag_then_finishes() {
         let r = Registry::new();
-        let a = r.submit(2);
+        let a = r.submit(2, "flat");
         let handles = r.start(a.id()).expect("queued");
         assert_eq!(r.cancel(a.id()), Some(JobState::Running));
         assert!(handles.cancel.load(Ordering::Relaxed), "flag raised");
@@ -869,7 +844,7 @@ mod tests {
     #[test]
     fn sample_ring_drains_in_order_and_bounds_memory() {
         let r = Registry::new();
-        let a = r.submit(3);
+        let a = r.submit(3, "flat");
         let handles = r.start(a.id()).expect("queued");
         for i in 0..(SAMPLE_RING_CAP + 5) {
             handles.samples.push(Json::U64(i as u64));
@@ -890,8 +865,8 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let r = Registry::with_store(&dir).expect("store dir");
-            let a = r.submit(0xabcd);
+            let r = Registry::open(Some(dir.clone()), None, Logger::disabled()).expect("store dir");
+            let a = r.submit(0xabcd, "flat");
             r.start(a.id()).expect("queued");
             r.complete(a.id(), fake_artifact());
         }
@@ -899,12 +874,12 @@ mod tests {
         assert!(path.exists(), "artifact persisted under its hash");
         // Corrupt entries are skipped, valid ones preloaded.
         std::fs::write(dir.join("0000000000000001.json"), "not json").unwrap();
-        let r2 = Registry::with_store(&dir).expect("store dir");
-        let b = r2.submit(0xabcd);
+        let r2 = Registry::open(Some(dir.clone()), None, Logger::disabled()).expect("store dir");
+        let b = r2.submit(0xabcd, "flat");
         assert!(matches!(b, Admission::Cached { .. }), "preloaded memo hit");
         assert_eq!(r2.stats().memo_hits, 1);
         assert!(
-            matches!(r2.submit(1), Admission::Execute { .. }),
+            matches!(r2.submit(1, "flat"), Admission::Execute { .. }),
             "corrupt entry not preloaded"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -917,8 +892,8 @@ mod tests {
         // Measure how large one persisted fake artifact is, so the cap
         // below budgets an exact number of entries.
         let entry_size = {
-            let r = Registry::with_store(&dir).expect("store dir");
-            let a = r.submit(1);
+            let r = Registry::open(Some(dir.clone()), None, Logger::disabled()).expect("store dir");
+            let a = r.submit(1, "flat");
             r.start(a.id()).expect("queued");
             r.complete(a.id(), fake_artifact());
             std::fs::metadata(dir.join(format!("{:016x}.json", 1u64)))
@@ -928,15 +903,15 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // Budget for exactly three entries.
-        let r = Registry::with_store_capped(&dir, Some(3 * entry_size)).expect("store dir");
+        let r = Registry::open(Some(dir.clone()), Some(3 * entry_size), Logger::disabled()).expect("store dir");
         for hash in [1u64, 2, 3] {
-            let a = r.submit(hash);
+            let a = r.submit(hash, "flat");
             r.start(a.id()).expect("queued");
             r.complete(a.id(), fake_artifact());
         }
         // A memo hit refreshes hash 1, leaving hash 2 least recently used.
-        assert!(matches!(r.submit(1), Admission::Cached { .. }));
-        let a = r.submit(4);
+        assert!(matches!(r.submit(1, "flat"), Admission::Cached { .. }));
+        let a = r.submit(4, "flat");
         r.start(a.id()).expect("queued");
         r.complete(a.id(), fake_artifact());
         let exists = |hash: u64| dir.join(format!("{hash:016x}.json")).exists();
@@ -946,17 +921,17 @@ mod tests {
 
         // A restarted daemon re-executes the evicted config cleanly
         // and still answers surviving entries from the preloaded cache.
-        let r2 = Registry::with_store_capped(&dir, Some(3 * entry_size)).expect("store dir");
+        let r2 = Registry::open(Some(dir.clone()), Some(3 * entry_size), Logger::disabled()).expect("store dir");
         assert!(
-            matches!(r2.submit(2), Admission::Execute { .. }),
+            matches!(r2.submit(2, "flat"), Admission::Execute { .. }),
             "evicted entry re-executes"
         );
-        assert!(matches!(r2.submit(1), Admission::Cached { .. }));
+        assert!(matches!(r2.submit(1, "flat"), Admission::Cached { .. }));
         drop(r2);
 
         // Restarting under a tighter cap trims the preloaded store too,
         // and an entry evicted at preload is not answered from the memo.
-        let r3 = Registry::with_store_capped(&dir, Some(entry_size)).expect("store dir");
+        let r3 = Registry::open(Some(dir.clone()), Some(entry_size), Logger::disabled()).expect("store dir");
         let remaining = std::fs::read_dir(&dir)
             .unwrap()
             .filter(|e| {
@@ -966,10 +941,10 @@ mod tests {
         assert_eq!(remaining, 1, "preload enforces the cap");
         for hash in [1u64, 3, 4] {
             if exists(hash) {
-                assert!(matches!(r3.submit(hash), Admission::Cached { .. }), "{hash} kept");
+                assert!(matches!(r3.submit(hash, "flat"), Admission::Cached { .. }), "{hash} kept");
             } else {
                 assert!(
-                    matches!(r3.submit(hash), Admission::Execute { .. }),
+                    matches!(r3.submit(hash, "flat"), Admission::Execute { .. }),
                     "{hash} evicted at preload re-executes"
                 );
             }
@@ -982,31 +957,60 @@ mod tests {
     fn forked_counter_tracks_notes() {
         let r = Registry::new();
         assert_eq!(r.stats().forked, 0);
-        r.note_forked();
-        r.note_forked();
-        assert_eq!(r.stats().forked, 2);
+        let (a, b) = (r.submit(21, "flat"), r.submit(22, "flat"));
+        r.note_forked(a.id());
+        r.note_forked(b.id());
+        r.note_forked(999);
+        assert_eq!(r.stats().forked, 2, "unknown ids are not counted");
+        assert!(r.record(a.id()).unwrap().forked, "the record carries the flag");
     }
 
     #[test]
     fn timing_and_gauges_track_lifecycle() {
         let r = Registry::new();
-        let a = r.submit(11);
+        let a = r.submit(11, "spawn");
         assert_eq!(r.inflight_now(), 1, "one config in flight");
-        assert!(r.queue_wait_us(a.id()).is_none(), "not started yet");
-        assert!(r.age_us(a.id()).is_some());
+        let queued = r.record(a.id()).unwrap();
+        assert_eq!(queued.class, "spawn");
+        assert!(queued.started_at.is_none(), "not started yet");
         r.start(a.id()).expect("queued");
-        assert!(r.queue_wait_us(a.id()).is_some(), "started jobs report wait");
         r.complete(a.id(), fake_artifact());
+        let done = r.record(a.id()).unwrap();
+        let (started, ended) = (done.started_at.unwrap(), done.ended_at.unwrap());
+        assert!(done.queued_at <= started && started <= ended, "ordered stamps");
         assert_eq!(r.inflight_now(), 0, "completion clears in-flight");
         assert_eq!(r.store_bytes(), 0, "no store configured");
-        assert!(r.queue_wait_us(999).is_none(), "unknown id");
-        assert!(r.age_us(999).is_none(), "unknown id");
+        assert!(r.record(999).is_none(), "unknown id");
+
+        // A memo hit is admitted and ended by one stamp and never starts.
+        let hit = r.record(r.submit(11, "spawn").id()).unwrap();
+        assert!(matches!(hit.admission, Admission::Cached { .. }));
+        assert_eq!(hit.ended_at, Some(hit.queued_at));
+        assert!(hit.started_at.is_none());
+    }
+
+    #[test]
+    fn transitions_touch_only_their_own_group() {
+        let r = Registry::new();
+        let a = r.submit(31, "flat");
+        let b = r.submit(31, "flat");
+        let c = r.submit(31, "flat");
+        let other = r.submit(32, "flat");
+        assert_eq!(r.cancel(b.id()), Some(JobState::Cancelled), "follower alone");
+        r.start(a.id()).expect("queued");
+        r.complete(a.id(), fake_artifact());
+        let state = |id| r.snapshot(id).unwrap().state;
+        assert_eq!(state(b.id()), JobState::Cancelled, "stays cancelled");
+        assert_eq!(state(c.id()), JobState::Done, "follower completes");
+        assert_eq!(state(other.id()), JobState::Queued, "other config untouched");
+        assert_eq!(r.record(c.id()).unwrap().ended_at, r.record(a.id()).unwrap().ended_at);
+        assert_eq!(r.stats().cancelled, 1);
     }
 
     #[test]
     fn wait_terminal_returns_final_snapshot() {
         let r = Arc::new(Registry::new());
-        let a = r.submit(5);
+        let a = r.submit(5, "flat");
         let r2 = r.clone();
         let id = a.id();
         let h = std::thread::spawn(move || {

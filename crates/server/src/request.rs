@@ -1,25 +1,19 @@
 //! The typed job-request API — the single front door to a simulation.
 //!
 //! A [`JobRequest`] is everything needed to run one simulation and emit
-//! its [`RunArtifact`]: a workload reference, a policy, a seed, a
-//! metrics level, and a GPU preset. The CLI's `run` subcommand and the
-//! daemon's `submit`
-//! request both construct this type and both execute through
-//! [`JobRequest::run`], so a `dynapar run` and a server submit with
-//! equal configs produce *byte-identical* artifacts — that identity is
-//! what makes config-hash memoization sound, and it is pinned by the
-//! protocol test-suite and the CI smoke.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+//! its [`RunArtifact`](dynapar_gpu::RunArtifact): a workload reference,
+//! a policy, a seed, a metrics level, and a GPU preset. The CLI's `run`
+//! subcommand and the daemon's `submit` request both construct this
+//! type, and [`JobRequest::run`] and [`JobRequest::execute`] build the
+//! same controller and the same run, so a `dynapar run` and a server
+//! submit with equal configs produce *byte-identical* artifacts — that
+//! identity is what makes config-hash memoization sound, and it is
+//! pinned by the protocol test-suite and the CI smoke.
 
 use dynapar_core::PolicySpec;
 use dynapar_engine::fnv1a_64;
 use dynapar_engine::json::Json;
-use dynapar_gpu::{
-    CanonicalConfig, ChildRequest, ControllerEvent, GpuConfig, LaunchController, LaunchDecision,
-    MetricsLevel, MonitoredMetrics, RunArtifact, RunOutcome, WatchHook,
-};
+use dynapar_gpu::{CanonicalConfig, GpuConfig, MetricsLevel, RunOutcome, WatchHook};
 use dynapar_workloads::{suite, Benchmark, BenchmarkSpec, RunOptions, Scale};
 
 /// A named GPU configuration preset.
@@ -116,28 +110,29 @@ impl WorkloadRef {
     }
 }
 
-/// Daemon-side observation hooks for one run. All three are pure
-/// observation: artifact bytes are identical with or without them
-/// (pinned by `progress_tap_is_byte_invisible` and the gpu crate's
-/// watch-hook test).
-#[derive(Default)]
-pub struct Observation {
-    /// Receives the latest simulated cycle.
-    pub progress: Option<Arc<AtomicU64>>,
-    /// Aborts the run at the next launch decision (by unwinding; the
-    /// daemon's worker catches it).
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Receives one [`dynapar_gpu::WatchSample`] per sampler firing —
-    /// the daemon feeds these to `watch` streams.
-    pub watch: Option<WatchHook>,
-}
-
 /// How a run starts: from cycle zero, armed to snapshot at a cycle, or
 /// resumed from a previously captured snapshot.
-enum WarmStart<'a> {
+#[derive(Debug, Clone, Copy)]
+pub enum WarmStart<'a> {
+    /// From cycle zero.
     Cold,
-    Armed { cycle: u64 },
-    Resume { snapshot: &'a [u8] },
+    /// From cycle zero, capturing a snapshot once simulated time passes
+    /// `cycle`. The run still executes to completion, so the outcome
+    /// carries both the full artifact *and* the snapshot bytes (in
+    /// `RunOutcome::snapshot`; `None` when the run finished before
+    /// `cycle`).
+    Armed {
+        /// The snapshot cycle.
+        cycle: u64,
+    },
+    /// Warm-started from `snapshot`, captured by an armed run of a job
+    /// sharing this job's warm-up identity. The resumed artifact is
+    /// byte-identical to the cold run's — the fork-sweep invariant the
+    /// snapshot layer pins.
+    Resume {
+        /// The snapshot container bytes.
+        snapshot: &'a [u8],
+    },
 }
 
 /// One simulation job: the request both the CLI and the daemon execute.
@@ -150,8 +145,7 @@ pub struct JobRequest {
     /// Workload-generator seed.
     pub seed: u64,
     /// Metrics level. `Off` produces no artifact, so the daemon rejects
-    /// it at submit time; the CLI only routes artifact-producing runs
-    /// through [`JobRequest::artifact`].
+    /// it at submit time.
     pub metrics: MetricsLevel,
     /// GPU preset.
     pub gpu: GpuPreset,
@@ -184,62 +178,32 @@ impl JobRequest {
     ///
     /// Workload construction errors (unknown benchmark, bad spec).
     pub fn run(&self, trace_capacity: Option<usize>) -> Result<RunOutcome, String> {
-        self.run_observed(trace_capacity, None, None)
-    }
-
-    /// [`run`](JobRequest::run) with daemon-side observation hooks:
-    /// `progress` receives the latest simulated cycle, `cancel` aborts
-    /// the run at the next launch decision (by unwinding; the daemon's
-    /// worker catches it). Both are pure observation — artifact bytes
-    /// are identical with or without them.
-    pub fn run_observed(
-        &self,
-        trace_capacity: Option<usize>,
-        progress: Option<Arc<AtomicU64>>,
-        cancel: Option<Arc<AtomicBool>>,
-    ) -> Result<RunOutcome, String> {
-        let obs = Observation {
-            progress,
-            cancel,
-            watch: None,
+        let opts = RunOptions {
+            trace_capacity,
+            ..RunOptions::default()
         };
-        self.run_with(trace_capacity, obs, WarmStart::Cold)
+        self.launch(WarmStart::Cold, opts)
     }
 
-    /// [`run`](JobRequest::run) with the full observation bundle
-    /// (progress, cancel, watch) — the daemon's cold execution path.
+    /// Runs the job from `start` (cold, armed, or resumed from a
+    /// snapshot), handing every sampler tick to `watch` — how the
+    /// daemon observes progress and cancels a run. The hook is pure
+    /// observation: artifact bytes are identical with or without it.
     ///
     /// # Errors
     ///
-    /// Workload construction errors.
-    pub fn run_cold(&self, obs: Observation) -> Result<RunOutcome, String> {
-        self.run_with(None, obs, WarmStart::Cold)
-    }
-
-    /// Runs the job armed to capture a snapshot once simulated time
-    /// passes `cycle`. The run still executes to completion, so the
-    /// outcome carries both the full artifact *and* the snapshot bytes
-    /// (in `RunOutcome::snapshot`; `None` when the run finished before
-    /// `cycle`).
-    ///
-    /// # Errors
-    ///
-    /// Workload construction errors.
-    pub fn run_armed(&self, cycle: u64, obs: Observation) -> Result<RunOutcome, String> {
-        self.run_with(None, obs, WarmStart::Armed { cycle })
-    }
-
-    /// Runs the job warm-started from `snapshot` (captured by
-    /// [`run_armed`](JobRequest::run_armed) on a job sharing this job's
-    /// warm-up identity). The resumed artifact is byte-identical to the
-    /// cold run's — the fork-sweep invariant the snapshot layer pins.
-    ///
-    /// # Errors
-    ///
-    /// Workload errors, plus snapshot decode/compatibility errors
-    /// (callers fall back to a cold run).
-    pub fn run_forked(&self, snapshot: &[u8], obs: Observation) -> Result<RunOutcome, String> {
-        self.run_with(None, obs, WarmStart::Resume { snapshot })
+    /// Workload errors, plus snapshot decode/compatibility errors for
+    /// [`WarmStart::Resume`].
+    pub fn execute(
+        &self,
+        start: WarmStart<'_>,
+        watch: Option<WatchHook>,
+    ) -> Result<RunOutcome, String> {
+        let opts = RunOptions {
+            watch,
+            ..RunOptions::default()
+        };
+        self.launch(start, opts)
     }
 
     /// The warm-up identity attached to armed snapshots as metadata:
@@ -255,38 +219,13 @@ impl JobRequest {
         ])
     }
 
-    fn run_with(
-        &self,
-        trace_capacity: Option<usize>,
-        obs: Observation,
-        warm: WarmStart<'_>,
-    ) -> Result<RunOutcome, String> {
+    fn launch(&self, start: WarmStart<'_>, mut opts: RunOptions) -> Result<RunOutcome, String> {
         let bench = self.workload.build(self.seed)?;
         let cfg = self.gpu.config();
-        let inner = self
+        let ctrl = self
             .policy
             .controller(&cfg, bench.default_threshold(), self.metrics);
-        let Observation {
-            progress,
-            cancel,
-            watch,
-        } = obs;
-        let ctrl: Box<dyn LaunchController> = if progress.is_some() || cancel.is_some() {
-            Box::new(ProgressTap {
-                inner,
-                progress,
-                cancel,
-            })
-        } else {
-            inner
-        };
-        let mut opts = RunOptions {
-            trace_capacity,
-            snapshot_at: None,
-            snapshot_meta: None,
-            watch,
-        };
-        match warm {
+        match start {
             WarmStart::Cold => Ok(bench.run_full_opts(&cfg, ctrl, self.metrics, opts)),
             WarmStart::Armed { cycle } => {
                 opts.snapshot_at = Some(cycle);
@@ -297,18 +236,6 @@ impl JobRequest {
                 .run_resumed(&cfg, ctrl, self.metrics, opts, snapshot)
                 .map_err(|e| format!("snapshot resume: {e}")),
         }
-    }
-
-    /// Runs the job and returns its artifact — the daemon's execution
-    /// path (and the byte-identity reference for the CLI's).
-    ///
-    /// # Errors
-    ///
-    /// Workload errors, plus `metrics: off` (no artifact to return).
-    pub fn artifact(&self) -> Result<RunArtifact, String> {
-        self.run(None)?
-            .artifact
-            .ok_or_else(|| "metrics level `off` produces no artifact; use summary|full|timeseries".to_string())
     }
 
     /// Renders the request in its wire form (the `job` object of a
@@ -451,72 +378,6 @@ impl SweepRequest {
     }
 }
 
-/// A delegating [`LaunchController`] wrapper that publishes the latest
-/// simulated cycle and honours a cancel flag. Every trait method
-/// forwards to the inner policy, so wrapping never changes simulated
-/// behavior or artifact bytes — the tap only *reads*.
-struct ProgressTap {
-    inner: Box<dyn LaunchController>,
-    progress: Option<Arc<AtomicU64>>,
-    cancel: Option<Arc<AtomicBool>>,
-}
-
-impl ProgressTap {
-    fn tick(&self, now: u64) {
-        if let Some(p) = &self.progress {
-            p.store(now, Ordering::Relaxed);
-        }
-        if let Some(c) = &self.cancel {
-            if c.load(Ordering::Relaxed) {
-                // Unwind out of the simulation; the daemon's worker
-                // catches this and marks the job cancelled. The panic
-                // message is a sentinel the worker recognizes.
-                panic!("dynapar-server: job cancelled");
-            }
-        }
-    }
-}
-
-impl LaunchController for ProgressTap {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn decide(&mut self, req: &ChildRequest) -> LaunchDecision {
-        self.tick(req.now.0);
-        self.inner.decide(req)
-    }
-
-    fn observe(&mut self, ev: &ControllerEvent) {
-        let now = match *ev {
-            ControllerEvent::ChildCtaStart { now } => now,
-            ControllerEvent::ChildCtaFinish { now, .. } => now,
-            ControllerEvent::ChildWarpFinish { now, .. } => now,
-        };
-        self.tick(now.0);
-        self.inner.observe(ev);
-    }
-
-    fn monitored(&self) -> Option<MonitoredMetrics> {
-        self.inner.monitored()
-    }
-
-    fn predictions(&self) -> Option<&[u64]> {
-        self.inner.predictions()
-    }
-
-    fn export_metrics(&self, reg: &mut dynapar_gpu::MetricsRegistry) {
-        self.inner.export_metrics(reg);
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        self.inner.as_any()
-    }
-}
-
-/// The sentinel message [`ProgressTap`] panics with on cancellation.
-pub(crate) const CANCEL_SENTINEL: &str = "dynapar-server: job cancelled";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,34 +484,21 @@ mod tests {
 
         // Armed run: identical artifact, plus captured snapshot bytes.
         let armed = tiny_req()
-            .run_armed(warmup, Observation::default())
+            .execute(WarmStart::Armed { cycle: warmup }, None)
             .expect("armed");
         assert_eq!(armed.artifact.expect("artifact").to_string(), cold);
         let snap = armed.snapshot.expect("snapshot captured mid-run");
 
         // Same-identity fork resumes and reproduces the cold bytes.
         let forked = tiny_req()
-            .run_forked(&snap, Observation::default())
+            .execute(WarmStart::Resume { snapshot: &snap }, None)
             .expect("forked");
         assert_eq!(forked.artifact.expect("artifact").to_string(), cold);
 
         // Garbage bytes are rejected, not misinterpreted.
         let err = tiny_req()
-            .run_forked(b"not a snapshot", Observation::default())
+            .execute(WarmStart::Resume { snapshot: b"not a snapshot" }, None)
             .unwrap_err();
         assert!(err.contains("snapshot"), "names the failure: {err}");
-    }
-
-    #[test]
-    fn progress_tap_is_byte_invisible() {
-        let req = tiny_req();
-        let plain = req.artifact().expect("plain");
-        let progress = Arc::new(AtomicU64::new(0));
-        let out = req
-            .run_observed(None, Some(progress.clone()), None)
-            .expect("tapped");
-        let tapped = out.artifact.expect("artifact");
-        assert_eq!(plain.to_string(), tapped.to_string());
-        assert!(progress.load(Ordering::Relaxed) > 0, "tap saw progress");
     }
 }

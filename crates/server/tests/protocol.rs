@@ -10,8 +10,8 @@ use dynapar_core::PolicySpec;
 use dynapar_engine::json::Json;
 use dynapar_gpu::MetricsLevel;
 use dynapar_server::{
-    Client, JobRequest, Request, Server, ServerConfig, SweepRequest, WorkloadRef, GpuPreset,
-    MAX_LINE_BYTES,
+    Client, JobRequest, Request, Server, ServerConfig, SweepRequest, WarmStart, WorkloadRef,
+    GpuPreset, MAX_LINE_BYTES,
 };
 use dynapar_workloads::Scale;
 
@@ -344,7 +344,7 @@ fn fork_sweep_artifacts_are_byte_identical_to_cold_runs() {
     let base = ramp_job(PolicySpec::Spawn);
     let warmup = 2000;
     let armed = base
-        .run_armed(warmup, dynapar_server::Observation::default())
+        .execute(WarmStart::Armed { cycle: warmup }, None)
         .expect("armed ramp run");
     let snap = armed.snapshot.expect("ramp longer than warmup");
     let (header, _) = dynapar_gpu::parse_snapshot(&snap).expect("well-formed snapshot");
@@ -480,5 +480,68 @@ fn cancel_of_an_unknown_id_is_an_error_not_a_crash() {
         .roundtrip(&Request::Cancel { id: 12345 })
         .unwrap_err();
     assert!(err.contains("12345"), "unexpected error: {err}");
+    stop(&addr, handle);
+}
+
+#[test]
+fn cancel_stops_a_running_job_and_frees_its_worker() {
+    // Uncancelled, this job simulates for seconds even in an optimised
+    // build on a fast host; the cancel below lands within a few status
+    // polls of the first progress report, so the outcome does not
+    // depend on host speed.
+    let long = JobRequest {
+        workload: WorkloadRef::Spec {
+            text: dynapar_workloads::BenchmarkSpec {
+                name: "cancel-me".into(),
+                items: vec![4000; 64 * 256],
+                ..dynapar_workloads::BenchmarkSpec::default()
+            }
+            .to_text(),
+        },
+        policy: PolicySpec::Spawn,
+        seed: 7,
+        metrics: MetricsLevel::Summary,
+        gpu: GpuPreset::KeplerK20m,
+    };
+    let (addr, handle) = start(1);
+    let mut client = Client::connect(&addr).unwrap();
+    let ack = client.submit(&long).expect("submit");
+    loop {
+        let status = client
+            .roundtrip(&Request::Status { id: ack.id })
+            .expect("status");
+        let state = status.get("state").and_then(Json::as_str).unwrap();
+        assert!(
+            ["queued", "running"].contains(&state),
+            "job ended before the cancel: {state}"
+        );
+        let progress = status.get("progress_cycles").and_then(Json::as_u64);
+        if state == "running" && progress > Some(0) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let resp = client
+        .roundtrip(&Request::Cancel { id: ack.id })
+        .expect("cancel");
+    assert_eq!(
+        resp.get("state").and_then(Json::as_str),
+        Some("running"),
+        "a running job is flagged, not ended, by the cancel itself"
+    );
+    let err = client.result(ack.id).unwrap_err();
+    assert!(err.contains("cancelled"), "unexpected error: {err}");
+    let status = client
+        .roundtrip(&Request::Status { id: ack.id })
+        .expect("status after cancel");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("cancelled"));
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("cancelled").and_then(Json::as_u64), Some(1));
+
+    // The daemon's only worker survived the unwind and serves a fresh job.
+    let fresh = client
+        .run(&tiny_job("AMR", PolicySpec::Flat))
+        .expect("fresh submit after the cancel");
+    assert!(!fresh.cached);
     stop(&addr, handle);
 }

@@ -8,7 +8,7 @@
 
 use dynapar_core::PolicySpec;
 use dynapar_gpu::MetricsLevel;
-use dynapar_server::{GpuPreset, JobRequest, Observation, WorkloadRef};
+use dynapar_server::{GpuPreset, JobRequest, WarmStart, WorkloadRef};
 use dynapar_workloads::Scale;
 
 fn job(policy: PolicySpec) -> JobRequest {
@@ -36,7 +36,7 @@ fn resume_is_byte_identical_across_cycles_and_policies() {
         for cycle in [0, total / 2, total * 3 / 4] {
             let cell = format!("policy {policy:?}, cycle {cycle}");
             let armed = req
-                .run_armed(cycle, Observation::default())
+                .execute(WarmStart::Armed { cycle }, None)
                 .expect("armed run");
             assert_eq!(
                 armed.artifact.expect("artifact").to_string(),
@@ -45,7 +45,7 @@ fn resume_is_byte_identical_across_cycles_and_policies() {
             );
             let snap = armed.snapshot.expect("snapshot captured mid-run");
             let resumed = req
-                .run_forked(&snap, Observation::default())
+                .execute(WarmStart::Resume { snapshot: &snap }, None)
                 .expect("resumed run");
             assert_eq!(
                 resumed.artifact.expect("artifact").to_string(),
@@ -61,7 +61,7 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     let req = job(PolicySpec::Spawn);
     let total = req.run(None).expect("cold").report.total_cycles;
     let snap = req
-        .run_armed(total / 2, Observation::default())
+        .execute(WarmStart::Armed { cycle: total / 2 }, None)
         .expect("armed")
         .snapshot
         .expect("snapshot captured");
@@ -69,7 +69,7 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     // Truncations at every interesting boundary are refused.
     for cut in [0, 1, snap.len() / 2, snap.len() - 1] {
         assert!(
-            req.run_forked(&snap[..cut], Observation::default()).is_err(),
+            req.execute(WarmStart::Resume { snapshot: &snap[..cut] }, None).is_err(),
             "truncated snapshot ({cut} of {} bytes) must be rejected",
             snap.len()
         );
@@ -81,7 +81,7 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     let idx = header_end + (bad.len() - header_end) / 2;
     bad[idx] ^= 0xff;
     assert!(
-        req.run_forked(&bad, Observation::default()).is_err(),
+        req.execute(WarmStart::Resume { snapshot: &bad }, None).is_err(),
         "state corruption must be rejected"
     );
 
@@ -89,7 +89,7 @@ fn corrupted_and_truncated_snapshots_are_rejected() {
     let mut bad = snap.clone();
     bad[2] ^= 0x01;
     assert!(
-        req.run_forked(&bad, Observation::default()).is_err(),
+        req.execute(WarmStart::Resume { snapshot: &bad }, None).is_err(),
         "header corruption must be rejected"
     );
 }

@@ -276,9 +276,13 @@ if grep -v '^{.*}$' "$artifact_dir/daemon.log" >/dev/null; then
     echo "daemon log contains a non-JSON line" >&2
     exit 1
 fi
-# The trace is a well-formed Trace Event Format document.
+# The trace is a well-formed Trace Event Format document, rendered from
+# the session's job records: the executed job's span and the second
+# submit's memo-hit instant.
 grep -q '"traceEvents"' "$artifact_dir/daemon-trace.json"
 ./target/release/dynapar check-timeline --file "$artifact_dir/daemon-trace.json"
+grep -q '"name":"job 0","ph":"X"' "$artifact_dir/daemon-trace.json"
+grep -q '"name":"memo_hit","ph":"i"' "$artifact_dir/daemon-trace.json"
 
 echo "== profile smoke (perf --profile emits a valid dynapar-profile/1) =="
 # Separate target dir: the profile feature changes the compiled code, so
