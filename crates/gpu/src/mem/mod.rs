@@ -5,6 +5,7 @@
 mod cache;
 mod coalesce;
 mod dram;
+mod mshr;
 
 pub use cache::Cache;
 pub use coalesce::{coalesce_lines, coalesce_lines_parts};
@@ -17,6 +18,7 @@ use dynapar_engine::Cycle;
 use crate::config::MemConfig;
 use crate::ids::SmxId;
 use crate::profile::DRAM;
+use mshr::MshrSet;
 
 /// Aggregate memory-system counters for a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,70 +64,6 @@ impl MemStats {
 struct L2Partition {
     cache: Cache,
     next_free: Cycle,
-}
-
-/// Per-SMX miss-status holding registers: completion times of in-flight
-/// L1 misses. A new miss entering a full set stalls until the earliest
-/// outstanding one returns.
-///
-/// Returned completions are reclaimed lazily: the heap is only drained of
-/// expired entries once it apparently reaches capacity. Stale entries
-/// inflate `len` in between, but every decision that depends on occupancy
-/// drains first, so admission times and stall counts are identical to
-/// eager reclamation — while a set that never fills never pays a pop.
-/// (A 4-ary heap and a monotone radix heap were both measured here and
-/// lost to `BinaryHeap`'s bottom-sift pops in the at-capacity regime.)
-#[derive(Debug, Default)]
-struct MshrSet {
-    inflight: std::collections::BinaryHeap<std::cmp::Reverse<u64>>,
-}
-
-impl MshrSet {
-    /// Admits a miss issued at `now`; returns the cycle it may actually
-    /// enter the memory system.
-    fn admit(&mut self, now: Cycle, capacity: usize) -> Cycle {
-        use std::cmp::Reverse;
-        if self.inflight.len() >= capacity {
-            while let Some(&Reverse(done)) = self.inflight.peek() {
-                if done <= now.as_u64() {
-                    self.inflight.pop();
-                } else {
-                    break;
-                }
-            }
-        }
-        if self.inflight.len() < capacity {
-            now
-        } else {
-            let std::cmp::Reverse(earliest) = self.inflight.pop().expect("full set is non-empty");
-            Cycle(earliest.max(now.as_u64()))
-        }
-    }
-
-    fn complete_at(&mut self, done: Cycle) {
-        self.inflight.push(std::cmp::Reverse(done.as_u64()));
-    }
-
-    /// Serializes the in-flight completion times, sorted so the bytes do
-    /// not depend on heap layout (admission behaviour only depends on the
-    /// multiset of times, so sorting is observation-free).
-    fn encode_state(&self, w: &mut ByteWriter) {
-        let mut times: Vec<u64> = self.inflight.iter().map(|r| r.0).collect();
-        times.sort_unstable();
-        w.put_len(times.len());
-        for t in times {
-            w.put_u64(t);
-        }
-    }
-
-    fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, SnapError> {
-        let n = r.get_len()?;
-        let mut set = MshrSet::default();
-        for _ in 0..n {
-            set.inflight.push(std::cmp::Reverse(r.get_u64()?));
-        }
-        Ok(set)
-    }
 }
 
 /// One SMX's L1 data cache and its MSHR set.
@@ -513,6 +451,58 @@ mod tests {
             assert_eq!(a, b, "t={t}");
         }
         assert_eq!(m2.stats(), m.stats());
+    }
+
+    #[test]
+    fn decode_l1_accepts_any_mshr_times_in_bounded_memory() {
+        let cfg = small_cfg();
+        let mut w = ByteWriter::new();
+        MemSystem::new(&cfg, 1).encode_l1(SmxId(0), &mut w);
+        let mut cache = w.into_bytes();
+        cache.truncate(cache.len() - 8); // the fresh set's zero length
+        let mshr_bytes = |times: &[u64], len: usize| {
+            let mut w = ByteWriter::new();
+            w.put_len(len);
+            for &t in times {
+                w.put_u64(t);
+            }
+            [cache.clone(), w.into_bytes()].concat()
+        };
+        // 1500 unsorted times spread over 2^60 cycles.
+        let spread: Vec<u64> = (0..1500u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 4)
+            .collect();
+        let cases = [
+            vec![0, u64::MAX - 1],
+            vec![900, 5, 70_000, 5, 1 << 33, 900],
+            vec![42; 3000],
+            spread,
+        ];
+        for times in cases {
+            let bytes = mshr_bytes(&times, times.len());
+            let mut m = MemSystem::new(&cfg, 1);
+            let mut r = ByteReader::new(&bytes);
+            m.decode_l1(SmxId(0), &mut r).unwrap();
+            r.finish().unwrap();
+            // The set holds exactly the multiset it read, and re-encodes
+            // it sorted.
+            let mut sorted = times.clone();
+            sorted.sort_unstable();
+            let mut w = ByteWriter::new();
+            m.encode_l1(SmxId(0), &mut w);
+            assert_eq!(w.into_bytes(), mshr_bytes(&sorted, sorted.len()));
+            // And keeps simulating.
+            for t in [0u64, 1_000, 1 << 40] {
+                let done = m.warp_read(Cycle(t), SmxId(0), &[t % 97, 500 + t % 13], &mut np());
+                assert!(done >= Cycle(t));
+            }
+        }
+        // A length beyond the input and a truncated list are typed errors.
+        for (times, len) in [(vec![], 1 << 40), (vec![7, 8], 3)] {
+            let bytes = mshr_bytes(&times, len);
+            let mut m = MemSystem::new(&cfg, 1);
+            assert!(m.decode_l1(SmxId(0), &mut ByteReader::new(&bytes)).is_err());
+        }
     }
 
     #[test]

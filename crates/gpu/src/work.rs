@@ -83,8 +83,15 @@ impl WorkClass {
     pub fn rand_addr(&self, seed: u64, item: u32, ref_idx: u8) -> u64 {
         debug_assert!(self.rand_region_bytes > 0);
         let h = hash_mix(seed ^ ((item as u64) << 8) ^ ref_idx as u64);
+        // Most real regions are power-of-two sized; the branch predicts
+        // perfectly and the mask is exactly the modulo there.
+        let off = if self.rand_region_bytes.is_power_of_two() {
+            h & (self.rand_region_bytes - 1)
+        } else {
+            h % self.rand_region_bytes
+        };
         // 4-byte aligned word within the region.
-        self.rand_region_base + (h % self.rand_region_bytes) / 4 * 4
+        self.rand_region_base + off / 4 * 4
     }
 }
 
@@ -466,6 +473,22 @@ mod tests {
         }
         // Different items map to different addresses (almost surely).
         assert_ne!(c.rand_addr(77, 0, 0), c.rand_addr(77, 1, 0));
+    }
+
+    #[test]
+    fn rand_addr_mask_path_equals_the_modulo() {
+        for bytes in [4u64, 4096, 1 << 20, 1 << 33, 4095, 3 * 4096, 1_000_003] {
+            let mut c = WorkClass::compute_only("r", 1);
+            c.rand_region_base = 0x4000_0000;
+            c.rand_region_bytes = bytes;
+            for item in 0..500 {
+                for ref_idx in 0..3 {
+                    let h = hash_mix(9 ^ ((item as u64) << 8) ^ ref_idx as u64);
+                    let want = 0x4000_0000 + (h % bytes) / 4 * 4;
+                    assert_eq!(c.rand_addr(9, item, ref_idx), want, "bytes={bytes}");
+                }
+            }
+        }
     }
 
     #[test]

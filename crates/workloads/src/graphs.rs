@@ -123,16 +123,14 @@ pub fn rmat(scale: u32, edge_factor: u32, rng: &mut DetRng) -> Csr {
         let mut u = 0u32;
         let mut v = 0u32;
         for bit in (0..scale).rev() {
+            // Quadrant of `r` over [A | B | C | D] without branches: the
+            // draw is random, so an if/else chain mispredicts constantly.
+            // The three cut points give the quadrant's index bits, from
+            // the same comparisons as the chain, so the same graph.
             let r = rng.unit();
-            let (du, dv) = if r < A {
-                (0, 0)
-            } else if r < A + B {
-                (0, 1)
-            } else if r < A + B + C {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let (past_a, past_b, past_c) = (r >= A, r >= A + B, r >= A + B + C);
+            let du = past_b as u32;
+            let dv = (past_a ^ past_b ^ past_c) as u32;
             u |= du << bit;
             v |= dv << bit;
         }

@@ -45,6 +45,21 @@ echo "== snapshot/resume byte identity (run --snapshot-at / --resume) =="
 cmp "$artifact_dir/snap-cold.json" "$artifact_dir/snap-armed.json"
 cmp "$artifact_dir/snap-cold.json" "$artifact_dir/snap-resumed.json"
 
+echo "== snapshot/resume byte identity under full MSHR sets (AMR small @100000) =="
+# The tiny run above never stalls on a full MSHR set; this one about
+# 150k times, so its snapshot holds full sets with returned but not yet
+# reclaimed entries, and resuming from it must still agree byte for byte.
+./target/release/dynapar run --bench AMR --policy spawn --scale small \
+    --metrics full --emit-json "$artifact_dir/mshr-cold.json"
+./target/release/dynapar run --bench AMR --policy spawn --scale small \
+    --metrics full --emit-json "$artifact_dir/mshr-armed.json" \
+    --snapshot-at 100000 --snapshot-out "$artifact_dir/amr-small.snap"
+./target/release/dynapar run --bench AMR --policy spawn --scale small \
+    --metrics full --emit-json "$artifact_dir/mshr-resumed.json" \
+    --resume "$artifact_dir/amr-small.snap"
+cmp "$artifact_dir/mshr-cold.json" "$artifact_dir/mshr-armed.json"
+cmp "$artifact_dir/mshr-cold.json" "$artifact_dir/mshr-resumed.json"
+
 echo "== snap-diff smoke (identical and divergent containers) =="
 ./target/release/dynapar snap-diff "$artifact_dir/amr.snap" "$artifact_dir/amr.snap" \
     | grep -q '^identical'
